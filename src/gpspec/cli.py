@@ -367,18 +367,11 @@ def cmd_equienergetic(args) -> tuple[str, int]:
 
 
 def cmd_lift(args) -> tuple[str, int]:
-    levels = args.lift if args.lift is not None else args.ell_max
-    rows = []
-    if args.k == 3:
-        t = args.t if args.t is not None else dioph.minimal_t(args.p)[0]
-        s = args.s or 0
-        for ell in range(1, levels + 1):
-            a, b = lift.derived_ab(args.p, t, s, ell)
-            rows.append((ell, a, b, f"{args.p}^{3 * (t * ell + s)}"))
-    else:
-        for ell in range(1, levels + 1):
-            c, d = lift.derived_cd(args.p, ell)
-            rows.append((ell, c, d, f"{args.p}^{4 * ell}"))
+    if args.lift is not None and args.lift < 0:
+        raise GPSpecError("--lift must be 0 or more")
+    count = args.lift if args.lift is not None else args.ell_max
+    rows = [(lvl.ell, *lvl.pair, f"{args.p}^{lvl.m}")
+            for lvl in lift.levels(args.p, args.k, count, args.t, args.s or 0)]
     if args.format == "json":
         return _json_line({"levels": [{"ell": r[0], "x": str(r[1]), "y": str(r[2]), "q": r[3]}
                                       for r in rows]}), 0

@@ -6,7 +6,7 @@ level pair (a, b) or (c, d) - never from a q-sized spectrum - so probing
 ell in the hundreds stays cheap even though q is astronomically large.
 
 The argument-interval sufficient conditions are likewise exact integer
-inequalities (no transcendental function is evaluated anywhere here):
+inequalities (no transcendental function is evaluated for them):
 
     k=3, s=0 regime, on the raw pair (x, y):   0 < x < 9y
     k=3, s>0 regime, on the pair (a, b):       a > 9b > 0
@@ -14,12 +14,12 @@ inequalities (no transcendental function is evaluated anywhere here):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import dioph
 from .errors import BadInput
-from .lift import check_k3_invariants, check_k4_invariants, k3_base_pairs, mul_pair
+from .lift import levels
 
 #: Default number of levels probed.
 ELL_MAX = 100
@@ -72,71 +72,43 @@ def _k4_sign_count(p_ell: int, c: int, d: int) -> int:
     return (p_ell + 4 * d > 0) + (p_ell - 4 * d > 0) + (2 * c - p_ell > 0) + (-2 * c - p_ell > 0)
 
 
+def decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1 without str(), which is quadratic in the
+    digit count and refused beyond 4300 digits by default.  math.log10(n)
+    is within 1e-6 of the truth below 2^(10^9), so its floor is exact unless
+    it is that close to an integer d; then one comparison with 10^d decides.
+    """
+    x = math.log10(n)
+    d = round(x)
+    if abs(x - d) < 1e-6:
+        return d + (n >= 10 ** d)
+    return math.floor(x) + 1
+
+
 def find_equienergetic_family(p: int, k: int, t: int | None = None, s: int = 0,
                               ell_max: int = ELL_MAX) -> list[FamilyWitness]:
     """Probe levels 1..ell_max of the lifted family, flagging each level with
     the equienergy verdict (sign criterion) and the interval condition.
-
-    For k=3 the base comes from ``dioph.minimal_t``; a caller-supplied t
-    must match the minimal exponent.  For k=4, t and s are fixed at 1, 0.
+    For k=3 a given t must be the minimal exponent; k=4 takes t = 1, s = 0.
     """
-    if k == 3:
-        return _family_k3(p, t, s, ell_max)
-    if k == 4:
-        if s != 0 or t not in (None, 1):
-            raise BadInput("k=4 families take no (t, s) offsets")
-        return _family_k4(p, ell_max)
-    raise BadInput(f"k = {k} not in {{3, 4}}")
-
-
-def _family_k3(p: int, t: int | None, s: int, ell_max: int) -> list[FamilyWitness]:
-    if s < 0:
-        raise BadInput(f"s = {s} must be >= 0")
-    t0, base_xy, base_ab = k3_base_pairs(p, s)
-    if t is not None and t != t0:
-        raise BadInput(f"minimal exponent of p = {p} is {t0}, not {t}")
-    t = t0
-
+    if k == 4 and (s != 0 or t not in (None, 1)):
+        raise BadInput("k=4 families take no (t, s) offsets")
+    if k not in (3, 4):
+        raise BadInput(f"k = {k} not in {{3, 4}}")
     witnesses = []
-    xy = base_xy
-    for ell in range(1, ell_max + 1):
-        if ell > 1:
-            xy = mul_pair(base_xy, xy, 27)
-        if s == 0:
-            a, b = -2 * xy[0], -2 * xy[1]
-            hit = interval_test_k3(xy[0], xy[1], Regime.S_ZERO)
+    for lvl in levels(p, k, ell_max, t, s):
+        x, y = lvl.pair
+        if k == 4:
+            hit = interval_test_k4(x, y)
+            equi = _k4_sign_count(lvl.root, x, y) == 1
         else:
-            a, b = mul_pair(base_ab, xy, 27)
-            hit = interval_test_k3(a, b, Regime.S_POSITIVE)
-        check_k3_invariants(p, t * ell + s, a, b)
-        equi = _k3_sign_count(a, b) == 1
-        witnesses.append(FamilyWitness(
-            p=p, k=3, t=t, s=s, ell=ell, pair=(a, b),
-            equienergetic=equi, interval_hit=hit,
-            q_digits=len(str(p ** (3 * (t * ell + s)))),
-        ))
+            hit = (interval_test_k3(*lvl.raw, Regime.S_ZERO) if s == 0
+                   else interval_test_k3(x, y, Regime.S_POSITIVE))
+            equi = _k3_sign_count(x, y) == 1
         if hit and not equi:
-            raise AssertionError(f"interval hit without equienergy at ell = {ell}")
-    return witnesses
-
-
-def _family_k4(p: int, ell_max: int) -> list[FamilyWitness]:
-    rep = dioph.solve_cd(p, 1)
-    witnesses = []
-    cd = (rep.x, rep.y)
-    p_ell = p
-    for ell in range(1, ell_max + 1):
-        if ell > 1:
-            cd = mul_pair((rep.x, rep.y), cd, 4)
-            p_ell *= p
-        check_k4_invariants(p, ell, *cd)
-        hit = interval_test_k4(*cd)
-        equi = _k4_sign_count(p_ell, *cd) == 1
+            raise AssertionError(f"interval hit without equienergy at ell = {lvl.ell}")
         witnesses.append(FamilyWitness(
-            p=p, k=4, t=1, s=0, ell=ell, pair=cd,
-            equienergetic=equi, interval_hit=hit,
-            q_digits=len(str(p ** (4 * ell))),
+            p=p, k=k, t=lvl.t, s=s, ell=lvl.ell, pair=lvl.pair,
+            equienergetic=equi, interval_hit=hit, q_digits=decimal_digits(lvl.q),
         ))
-        if hit and not equi:
-            raise AssertionError(f"interval hit without equienergy at ell = {ell}")
     return witnesses

@@ -22,11 +22,16 @@ from .errors import BadInput, BadK, CapExceeded, NonPrime
 #: Largest field order constructed explicitly (elements, tables).
 FIELD_CAP = 1 << 20
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Miller-Rabin to the prime bases 2..41, deterministic only below 3.3e24.
+
+    The least composite that passes all thirteen bases is
+    3317044064679887385961981 (about 3.3e24); above it the answer is a
+    strong probable-prime test, and a composite can pass.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:

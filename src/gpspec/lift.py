@@ -12,76 +12,51 @@ ell >= 1 is its ell-th power, with norm p^(t*ell).  An off-by-one here is
 the likeliest bug, so the helpers below all speak in terms of ell of the
 derived graph GP(3, p^(3(t*ell+s))) rather than raw power indices.
 
-For k = 3 the derived coefficient pair is
-
-    s = 0:  (a, b) = -2 * (x, y)^ell
-    s > 0:  (a, b) = (a0, b0) * (x, y)^ell     with 4 p^s = a0^2 + 27 b0^2
-
-and for k = 4 simply (c, d) = (c1, d1)^ell with p^2 = c1^2 + 4 d1^2.
+The k = 3 coefficient pair is (a, b) = (a0, b0) * (x, y)^ell with
+4 p^s = a0^2 + 27 b0^2 ((a0, b0) = (-2, 0) for s = 0); the k = 4 pair is
+(c, d) = (c1, d1)^ell with p^2 = c1^2 + 4 d1^2.  ``derived_ab`` and
+``derived_cd`` take one pair power, ``levels`` one multiplication a level.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from . import dioph
-from .errors import BadInput, BadP
-from .ff import is_prime
+from .dioph import mul_pair, pair_pow
+from .errors import BadInput
 from .spectra import Spectrum, k3_case_a_spectrum, k4_case_a_spectrum
-
-_NORM_COEFF_K3 = 27
-_NORM_COEFF_K4 = 4
-
-
-def mul_pair(u, v, coeff):
-    """Product of two pairs under the norm form X^2 + coeff * Y^2."""
-    return (u[0] * v[0] - coeff * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def power_components(x: int, y: int, ell: int, coeff: int) -> tuple[int, int]:
-    """(X, Y) with z^ell = X + theta*Y for z = x + theta*y, theta^2 = -coeff.
-
-    Closed-form evaluation by exact binomial expansion; independent of the
-    step recursion, so the two can referee each other.
-    """
-    if ell < 0:
-        raise BadInput("ell must be >= 0")
-    X = sum(math.comb(ell, 2 * r) * x ** (ell - 2 * r) * y ** (2 * r) * (-coeff) ** r
-            for r in range(ell // 2 + 1))
-    Y = sum(math.comb(ell, 2 * r + 1) * x ** (ell - 2 * r - 1) * y ** (2 * r + 1) * (-coeff) ** r
-            for r in range((ell + 1) // 2))
-    return X, Y
 
 
 def step_xy(p: int, t: int, xy: tuple[int, int]) -> tuple[int, int]:
     """Advance a norm-p^(t*ell) pair one level by multiplying with the base
     pair of ``dioph.minimal_t(p)`` (whose minimal exponent must be t)."""
-    t0, x0, y0 = dioph.minimal_t(p)
-    if t0 != t:
-        raise BadInput(f"minimal exponent of p = {p} is {t0}, not {t}")
-    return mul_pair((x0, y0), xy, _NORM_COEFF_K3)
+    return mul_pair(k3_base_pairs(p, 0, t)[1], xy, 27)
 
 
-def k3_base_pairs(p: int, s: int) -> tuple[int, tuple[int, int], tuple[int, int] | None]:
-    """(t, (x0, y0), (a0, b0)) with compatible signs for the s > 0 route.
+def k3_base_pairs(p: int, s: int, t: int | None = None
+                  ) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(t, (x0, y0), (a0, b0)) with 4 p^s = a0^2 + 27 b0^2 and compatible signs.
 
-    The product of the two base pairs exists in two conjugate versions; one
-    of them can be divisible by p (e.g. p = 7, s = 2 gives a1 = 49), which
-    would wreck the coprimality invariant at every level.  Exactly one sign
-    of b0 is safe - if p divided both versions of a1 it would divide
-    2*a0*x0, impossible - and once the base product is coprime to p the
-    three-term recursion a(l+1) = 2*x0*a(l) - p^t*a(l-1) keeps every level
-    coprime.  The +b0 version is preferred when both work.
+    A given t must equal the minimal exponent; 0 <= s < t.  One conjugate
+    base product can be divisible by p (p = 7, s = 2 gives a1 = 49), which
+    would break coprimality at every level; exactly one sign of b0 is safe
+    (p dividing both would divide 2*a0*x0), +b0 preferred, and the recursion
+    a(l+1) = 2*x0*a(l) - p^t*a(l-1) then keeps every level coprime.
     """
-    t, x0, y0 = dioph.minimal_t(p)
+    t0, x0, y0 = dioph.minimal_t(p)
+    if t is not None and t != t0:
+        raise BadInput(f"minimal exponent of p = {p} is {t0}, not {t}")
+    if not 0 <= s < t0:
+        raise BadInput(f"s = {s} must satisfy 0 <= s < t = {t0}")
     if s == 0:
-        return t, (x0, y0), None
-    if s >= t:
-        raise BadInput(f"s = {s} must satisfy 0 <= s < t = {t}")
+        return t0, (x0, y0), (-2, 0)
     rep = dioph.solve_ab(p, s)
     a0, b0 = rep.x, rep.y
     if (a0 * x0 - 27 * b0 * y0) % p == 0:
         b0 = -b0
-    return t, (x0, y0), (a0, b0)
+    return t0, (x0, y0), (a0, b0)
 
 
 def derived_ab(p: int, t: int, s: int, ell: int) -> tuple[int, int]:
@@ -90,22 +65,10 @@ def derived_ab(p: int, t: int, s: int, ell: int) -> tuple[int, int]:
     Satisfies a^2 + 27 b^2 = 4 p^(t*ell+s), a = 1 (mod 3), gcd(a, p) = 1.
     For s > 0, ell = 0 returns the base solution of 4 p^s itself.
     """
-    if not 0 <= s < t:
-        raise BadInput(f"s = {s} must satisfy 0 <= s < t = {t}")
     if ell < 0 or (s == 0 and ell == 0):
         raise BadInput("level ell must be >= 1 (>= 0 when s > 0)")
-    t0, base_xy, base_ab = k3_base_pairs(p, s)
-    if t0 != t:
-        raise BadInput(f"minimal exponent of p = {p} is {t0}, not {t}")
-    if s > 0 and ell == 0:
-        return base_ab
-    xy = base_xy
-    for _ in range(ell - 1):
-        xy = mul_pair(base_xy, xy, _NORM_COEFF_K3)
-    if s == 0:
-        a, b = -2 * xy[0], -2 * xy[1]
-    else:
-        a, b = mul_pair(base_ab, xy, _NORM_COEFF_K3)
+    _, base_xy, base_ab = k3_base_pairs(p, s, t)
+    a, b = mul_pair(base_ab, pair_pow(base_xy, ell, 27), 27)
     check_k3_invariants(p, t * ell + s, a, b)
     return a, b
 
@@ -131,9 +94,7 @@ def derived_cd(p: int, ell: int) -> tuple[int, int]:
     if ell < 1:
         raise BadInput("ell must be >= 1")
     rep = dioph.solve_cd(p, 1)
-    cd = (rep.x, rep.y)
-    for _ in range(ell - 1):
-        cd = mul_pair((rep.x, rep.y), cd, _NORM_COEFF_K4)
+    cd = pair_pow((rep.x, rep.y), ell, 4)
     check_k4_invariants(p, ell, *cd)
     return cd
 
@@ -147,7 +108,37 @@ def check_k4_invariants(p: int, ell: int, c: int, d: int) -> None:
 
 def derived_spectrum_k4(p: int, ell: int) -> Spectrum:
     """Spec GP(4, p^(4*ell)) from the base solution only."""
-    if not is_prime(p) or p % 4 != 1:
-        raise BadP(f"p = {p} must be a prime with p = 1 (mod 4)")
     c, d = derived_cd(p, ell)
     return k4_case_a_spectrum(p ** ell, c, d)
+
+
+@dataclass(frozen=True)
+class Level:
+    """Level ell of a family: GP(k, q = p^m = root^k), pair from raw = base^ell."""
+
+    ell: int
+    t: int
+    m: int
+    q: int
+    root: int
+    raw: tuple[int, int]
+    pair: tuple[int, int]
+
+
+def levels(p: int, k: int, ell_max: int, t: int | None = None, s: int = 0) -> Iterator[Level]:
+    """Levels 1..ell_max of the family of GP(k, p), invariants checked; the
+    k = 3 base is ``k3_base_pairs(p, s, t)``, and k = 4 ignores t and s."""
+    if k == 3:
+        t, base, base_ab = k3_base_pairs(p, s, t)
+        coeff, check = 27, check_k3_invariants
+    else:
+        t, s, base, base_ab = 1, 0, derived_cd(p, 1), (1, 0)
+        coeff, check = 4, check_k4_invariants
+    root, q, raw = p ** s, p ** (k * s), (1, 0)
+    for ell in range(1, ell_max + 1):
+        raw = mul_pair(base, raw, coeff)
+        pair = mul_pair(base_ab, raw, coeff)
+        check(p, t * ell + s, *pair)
+        root *= p ** t
+        q *= p ** (k * t)
+        yield Level(ell, t, k * (t * ell + s), q, root, raw, pair)

@@ -1,0 +1,76 @@
+"""Test-only referees: slow, direct computations that share no code with
+the package routes they check.
+
+- The y-scans are the direct search for the norm-form representations: try
+  every y-component up to sqrt(target / coeff) and keep the first that
+  leaves a perfect square with the side conditions.  They cost about
+  sqrt(target) steps, so they only referee small targets of the Cornacchia
+  base solve and pair powers in ``gpspec.dioph``.
+- ``power_components`` evaluates a pair power by binomial expansion and
+  referees the pair powers and level steps of ``gpspec.lift``.
+"""
+from __future__ import annotations
+
+import math
+
+
+def _square_part(n: int) -> int | None:
+    """isqrt(n) if n is a perfect square, else None."""
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
+
+
+def scan_steps(target: int, coeff: int) -> int:
+    """Most y-components a scan of x^2 + coeff*y^2 = target tries."""
+    return math.isqrt(target // coeff) + 1
+
+
+def scan_ab(p: int, r: int) -> tuple[int, int]:
+    """(a, b) with 4 p^r = a^2 + 27 b^2, a = 1 (mod 3), gcd(a, p) = 1, b >= 0."""
+    target = 4 * p ** r
+    for b in range(scan_steps(target, 27)):
+        a = _square_part(target - 27 * b * b)
+        if a is None or a % p == 0 or a % 3 == 0:
+            continue
+        return (a if a % 3 == 1 else -a), b
+    raise AssertionError(f"4*{p}^{r} = a^2 + 27*b^2 has no admissible solution")
+
+
+def scan_cd(p: int, t: int) -> tuple[int, int]:
+    """(c, d) with p^(2t) = c^2 + 4 d^2, c = 1 (mod 4), gcd(c, p) = 1, d >= 0."""
+    target = p ** (2 * t)
+    for d in range(scan_steps(target, 4)):
+        c = _square_part(target - 4 * d * d)
+        if c is None or c % p == 0:
+            continue
+        return (c if c % 4 == 1 else -c), d
+    raise AssertionError(f"{p}^{2 * t} = c^2 + 4*d^2 has no admissible solution")
+
+
+def scan_minimal_t(p: int, t_cap: int = 64) -> tuple[int, int, int] | None:
+    """(t, x, y) for the smallest t <= t_cap with p^t = x^2 + 27 y^2 and
+    gcd(x, p) = 1, x = 1 (mod 3), y >= 0; None when the cap is exhausted."""
+    for t in range(1, t_cap + 1):
+        target = p ** t
+        for y in range(scan_steps(target, 27)):
+            x = _square_part(target - 27 * y * y)
+            if x is None or x % p == 0:
+                continue
+            return t, (x if x % 3 == 1 else -x), y
+    return None
+
+
+def power_components(x: int, y: int, ell: int, coeff: int) -> tuple[int, int]:
+    """(X, Y) with z^ell = X + theta*Y for z = x + theta*y, theta^2 = -coeff.
+
+    Closed-form evaluation by exact binomial expansion.
+    """
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    X = sum(math.comb(ell, 2 * r) * x ** (ell - 2 * r) * y ** (2 * r) * (-coeff) ** r
+            for r in range(ell // 2 + 1))
+    Y = sum(math.comb(ell, 2 * r + 1) * x ** (ell - 2 * r - 1) * y ** (2 * r + 1) * (-coeff) ** r
+            for r in range((ell + 1) // 2))
+    return X, Y

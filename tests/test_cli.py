@@ -158,6 +158,13 @@ class TestFamilyCommand:
         assert code == 2 and out == ""
         assert "--ell-max must be 0 or more" in err
 
+    def test_levels_past_the_str_limit(self, capsys):
+        code, out, _ = run_cli(["family", "-k", "3", "-p", "31", "--ell-max", "1000",
+                                "--format", "csv"], capsys)
+        rows = out.splitlines()
+        assert code == 0 and len(rows) == 1001
+        assert rows[-1].split(",")[0] == "1000" and rows[-1].split(",")[3] == "4475"
+
 
 class TestLiftCommand:
     def test_k3_levels(self, capsys):
@@ -169,6 +176,22 @@ class TestLiftCommand:
     def test_empty_range(self, capsys):
         code, out, _ = run_cli(["lift", "-k", "4", "-p", "5", "--ell-max", "0"], capsys)
         assert code == 0 and out == "ell,x,y,q\n"
+
+    def test_lift_zero_is_the_empty_range(self, capsys):
+        code, out, _ = run_cli(["lift", "-k", "4", "-p", "5", "--lift", "0"], capsys)
+        assert code == 0 and out == "ell,x,y,q\n"
+
+    def test_negative_lift_rejected(self, capsys):
+        code, out, err = run_cli(["lift", "-k", "4", "-p", "5", "--lift", "-3"], capsys)
+        assert code == 2 and out == ""
+        assert "--lift must be 0 or more" in err
+
+    def test_lift_levels_match_ell_max_levels(self, capsys):
+        _, by_lift, _ = run_cli(["lift", "-k", "3", "-p", "7", "-s", "2", "--lift", "30"], capsys)
+        _, by_ell_max, _ = run_cli(["lift", "-k", "3", "-p", "7", "-s", "2", "--ell-max", "30"],
+                                   capsys)
+        assert by_lift == by_ell_max and by_lift.count("\n") == 31
+        assert by_lift.splitlines()[-1].endswith(",7^276")
 
 
 class TestTables:
@@ -281,6 +304,35 @@ class TestEnvOverrides:
         monkeypatch.setenv("GPSPEC_ELL_MAX", "abc")
         code, out, _ = run_cli(["family", "-k", "4", "-p", "5", "--ell-max", "2"], capsys)
         assert code == 0 and "equienergetic levels: [2]" in out
+
+
+class TestFormerHangs:
+    """Commands that scanned for a norm-form representation at the lifted
+    exponent and ran for more than 15 s."""
+
+    @pytest.mark.parametrize("args", [["-k", "3", "-p", "31", "--lift", "12"],
+                                      ["-k", "4", "-p", "17", "--lift", "8"]])
+    def test_energy_lift_subprocess(self, args):
+        proc = subprocess.run([sys.executable, "-m", "gpspec.cli", "energy", *args],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert "bounds: " in proc.stdout
+
+
+class TestCompositeModulus:
+    def test_pseudoprime_exits_2(self, capsys):
+        # passes ff.is_prime (exact only below it); the base solve notices
+        code, out, err = run_cli(["spectrum", "-k", "3", "-p", "3317044064679887385961981",
+                                  "-m", "3"], capsys)
+        assert code == 2 and out == ""
+        assert "is 3317044064679887385961981 prime?" in err
+
+
+def test_import_leaves_sympy_out():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, gpspec.cli; print('sympy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 def test_console_entry_point():

@@ -1,16 +1,32 @@
 """Quadratic-form representation solvers and cubic residuosity."""
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import primes_upto
+from gpspec import dioph
 from gpspec.dioph import QFForm, QFRep, is_cubic_residue, minimal_t, solve_ab, solve_cd
-from gpspec.errors import BadInput, BadP, NotFound
+from gpspec.errors import BadInput, BadP, NoSolution, NotFound
+from gpspec.ff import is_prime
+from gpspec.spectra import GraphSpec, gp_spectrum
+from referees import power_components, scan_ab, scan_cd, scan_minimal_t, scan_steps
 
 P1MOD3 = [p for p in primes_upto(100) if p % 3 == 1]
 P1MOD4 = [p for p in primes_upto(100) if p % 4 == 1]
+
+# the core's property domain: primes p < 500 with r <= 6 (k = 3) or t <= 4 (k = 4)
+CORE_K3 = [(p, r) for p in primes_upto(500) if p % 3 == 1 for r in range(1, 7)]
+CORE_K4 = [(p, t) for p in primes_upto(500) if p % 4 == 1 for t in range(1, 5)]
+# the scan referee costs sqrt(target) steps, so it only checks the part of the
+# domain it can finish; sympy's solution sets check the rest
+SCAN_LIMIT = 10 ** 5
+SCAN_K3 = [(p, r) for p, r in CORE_K3 if scan_steps(4 * p ** r, 27) <= SCAN_LIMIT]
+SCAN_K4 = [(p, t) for p, t in CORE_K4 if scan_steps(p ** (2 * t), 4) <= SCAN_LIMIT]
+# the least composite that passes ff.is_prime, with n = 1 (mod 12)
+PSEUDOPRIME = 3317044064679887385961981
 
 
 def _all_representations(target, coeff):
@@ -174,3 +190,117 @@ def test_solve_cd_equation_exact(p, t):
     rep = solve_cd(p, t)
     assert rep.x * rep.x + 4 * rep.y * rep.y == p ** (2 * t)
     assert rep.x % 4 == 1 and math.gcd(rep.x, p) == 1 and rep.y >= 0
+
+
+class TestCoreAgainstReferees:
+    """The Cornacchia base solve and pair powers against independent routes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(SCAN_K3))
+    def test_solve_ab_matches_scan(self, case):
+        p, r = case
+        rep = solve_ab(p, r)
+        assert (rep.x, rep.y) == scan_ab(p, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(SCAN_K4))
+    def test_solve_cd_matches_scan(self, case):
+        p, t = case
+        rep = solve_cd(p, t)
+        assert (rep.x, rep.y) == scan_cd(p, t)
+
+    def test_minimal_t_matches_scan(self):
+        for p in (p for p in primes_upto(500) if p % 3 == 1):
+            assert minimal_t(p) == scan_minimal_t(p)
+
+    def test_beyond_the_scan_solutions_are_the_unique_admissible_ones(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.solvers.diophantine.diophantine import diophantine
+        x, y = sympy.symbols("x y", integer=True)
+        for p, r in set(CORE_K3) - set(SCAN_K3):
+            sols = diophantine(x ** 2 + 27 * y ** 2 - 4 * p ** r)
+            admissible = {(int(a), int(b)) for a, b in sols if a % 3 == 1 and a % p and b >= 0}
+            rep = solve_ab(p, r)
+            assert admissible == {(rep.x, rep.y)}, (p, r)
+        for p, t in set(CORE_K4) - set(SCAN_K4):
+            sols = diophantine(x ** 2 + 4 * y ** 2 - p ** (2 * t))
+            admissible = {(int(c), int(d)) for c, d in sols if c % 4 == 1 and c % p and d >= 0}
+            rep = solve_cd(p, t)
+            assert admissible == {(rep.x, rep.y)}, (p, t)
+
+    def test_base_pairs_match_sympy_cornacchia(self):
+        pytest.importorskip("sympy")
+        from sympy.solvers.diophantine.diophantine import cornacchia
+        for p in primes_upto(500):
+            if p % 3 == 1:
+                assert {dioph._base(p, 3)} == cornacchia(1, 3, p)
+                t, x0, y0 = minimal_t(p)
+                if t == 1:
+                    assert {(abs(x0), y0)} == cornacchia(1, 27, p)
+            if p % 4 == 1:
+                assert {tuple(sorted(dioph._base(p, 4)))} == {tuple(sorted(s)) for s in cornacchia(1, 1, p)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.integers(-50, 50), y=st.integers(-50, 50), e=st.integers(0, 40),
+           coeff=st.sampled_from([1, 3, 4, 27]))
+    def test_pair_pow_matches_binomial_expansion(self, x, y, e, coeff):
+        assert dioph.pair_pow((x, y), e, coeff) == power_components(x, y, e, coeff)
+
+
+class TestCoreTerminates:
+    """The base solve is bounded and checks itself; a composite modulus ends
+    in NoSolution or in a checked representation, never in a loop."""
+
+    @pytest.mark.parametrize("n,k", [(55, 3), (91, 3), (21, 4), (33, 4), (561, 4)])
+    def test_composite_without_root_of_unity(self, n, k):
+        with pytest.raises(NoSolution, match="root of unity"):
+            dioph._base(n, k)
+
+    def test_modulus_not_one_mod_k(self):
+        with pytest.raises(NoSolution):
+            dioph._base(35, 3)
+        with pytest.raises(NoSolution):
+            dioph._base(23, 4)
+
+    @pytest.mark.parametrize("k,d", [(3, 3), (4, 1)])
+    def test_every_small_composite_fails_or_is_checked(self, k, d):
+        primes = set(primes_upto(3000))
+        for n in range(9, 3000, 2):
+            if n % k != 1 or n in primes:
+                continue
+            try:
+                u, v = dioph._base(n, k)
+            except NoSolution:
+                continue
+            assert u * u + d * v * v == n
+
+    def test_pseudoprime_passing_is_prime(self):
+        # is_prime accepts it (ff.is_prime is exact only below it); the k = 3
+        # base solve finds no primitive cube root of unity and says so
+        with pytest.raises(NoSolution, match="prime"):
+            solve_ab(PSEUDOPRIME, 1)
+        u, v = dioph._base(PSEUDOPRIME, 4)      # -1 is a square mod both factors
+        assert u * u + v * v == PSEUDOPRIME
+
+    def test_large_composite_stops_at_fermat_test(self):
+        # an 82-digit composite n = 1 (mod 12): without the test the search
+        # would try about 2 ln(n)^2 = 70000 candidates
+        n = 12 * (10 ** 40 + 1) * (10 ** 40 + 3) + 1
+        assert not is_prime(n)
+        start = time.perf_counter()
+        for k in (3, 4):
+            with pytest.raises(NoSolution):
+                dioph._base(n, k)
+        assert time.perf_counter() - start < 5.0
+
+
+class TestFormerHangs:
+    """The direct -m route at exponents where the y-scans took over 20 s."""
+
+    @pytest.mark.parametrize("k,p,m", [(3, 13, 48), (3, 31, 36), (4, 5, 48), (4, 17, 32),
+                                       (3, 7, 2997), (4, 13, 3000)])
+    def test_gp_spectrum_is_immediate(self, k, p, m):
+        start = time.perf_counter()
+        s = gp_spectrum(GraphSpec(k, p, m))
+        assert time.perf_counter() - start < 2.0
+        assert s.order == p ** m

@@ -1,10 +1,12 @@
 """Family search: interval tests, hit sets, and witness invariants."""
 import math
+import sys
 
 import pytest
 
 from gpspec.errors import BadInput, NotFound
-from gpspec.family import Regime, find_equienergetic_family, interval_test_k3, interval_test_k4
+from gpspec.family import (Regime, decimal_digits, find_equienergetic_family, interval_test_k3,
+                           interval_test_k4)
 
 
 class TestIntervalK3:
@@ -104,6 +106,11 @@ class TestWitnessProperties:
         w = find_equienergetic_family(31, 3, ell_max=2)[-1]
         assert w.q_digits == len(str(31 ** 6))
 
+    def test_q_digits_past_the_str_limit(self):
+        # level 962 of the p = 31 family is where len(str(q)) used to fail
+        w = find_equienergetic_family(31, 3, ell_max=1000)[-1]
+        assert (w.ell, w.q_digits) == (1000, 4475)
+
     def test_sign_decision_matches_spectrum_energies(self):
         from gpspec.energy import is_complementary_equienergetic
         from gpspec.lift import derived_spectrum_k3, derived_spectrum_k4
@@ -114,3 +121,26 @@ class TestWitnessProperties:
         for w in find_equienergetic_family(5, 4, ell_max=4):
             report = is_complementary_equienergetic(derived_spectrum_k4(5, w.ell))
             assert report.equienergetic is w.equienergetic
+
+
+class TestDecimalDigits:
+    @pytest.fixture
+    def unlimited_str(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_matches_str(self, unlimited_str):
+        cases = list(range(1, 3000))
+        cases += [10 ** e + j for e in range(1, 6000, 61) for j in (-1, 0, 1)]
+        cases += [2 ** e + j for e in range(1, 20000, 97) for j in (-1, 0, 1)]
+        cases += [p ** e for p in (5, 7, 13, 31) for e in range(1, 6000, 89)]
+        for n in cases:
+            assert decimal_digits(n) == len(str(n)), n
+
+    def test_family_levels_match_str(self, unlimited_str):
+        for w in find_equienergetic_family(5, 4, ell_max=1600)[::37]:
+            assert w.q_digits == len(str(5 ** (4 * w.ell)))

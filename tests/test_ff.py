@@ -6,7 +6,7 @@ import pytest
 
 from conftest import in_scope_instances, primes_upto
 from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime
-from gpspec.ff import (HypothesisCase, is_semiprimitive, kth_power_residues,
+from gpspec.ff import (HypothesisCase, is_prime, is_semiprimitive, kth_power_residues,
                        make_field, theorem_hypotheses, trace)
 
 
@@ -44,6 +44,25 @@ def _scan_smallest_irreducible(p, m):
         if _irreducible_by_trial_division(f, p):
             return tuple(f)
     raise AssertionError
+
+
+class TestIsPrime:
+    def test_matches_sieve(self):
+        primes = set(primes_upto(20000))
+        assert [n for n in range(-5, 20001) if is_prime(n)] == sorted(primes)
+
+    def test_rejects_carmichael_numbers(self):
+        for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
+            assert not is_prime(n)
+
+    def test_exact_below_its_stated_bound(self):
+        # 399165290221 * 798330580441: the least strong pseudoprime to every
+        # prime base up to 37, so the base 41 is what rejects it
+        assert not is_prime(318665857834031151167461)
+
+    def test_stated_bound_is_where_it_stops_being_exact(self):
+        # 1287836182261 * 2575672364521 (about 3.3e24) passes all thirteen bases
+        assert is_prime(3317044064679887385961981)
 
 
 class TestMakeField:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from gpspec.dioph import minimal_t
 from gpspec.errors import BadInput
 from gpspec.lift import (check_k3_invariants, check_k4_invariants, derived_ab, derived_cd,
-                         derived_spectrum_k3, derived_spectrum_k4, mul_pair,
-                         power_components, step_xy)
+                         derived_spectrum_k3, derived_spectrum_k4, levels, mul_pair, step_xy)
 from gpspec.oracle import char_sum_spectrum
 from gpspec.spectra import GraphSpec, gp_spectrum
+from referees import power_components
 
 # (ell, a, b, non-principal eigenvalues) rows of the p=7, t=3, s=1 family
 TABLE1 = [
@@ -203,6 +203,39 @@ def test_xy_norm_identity_random_levels(p, ell):
     t, x0, y0 = minimal_t(p)
     X, Y = power_components(x0, y0, ell, 27)
     assert X * X + 27 * Y * Y == p ** (t * ell)
+
+
+class TestLevels:
+    """The level iterator (one multiplication a level) against the pair
+    powers of derived_ab / derived_cd (one binary exponentiation each)."""
+
+    @pytest.mark.parametrize("p,s", [(7, 0), (7, 1), (7, 2), (31, 0), (13, 1), (43, 0)])
+    def test_k3_levels_match_derived_ab(self, p, s):
+        t = minimal_t(p)[0]
+        got = list(levels(p, 3, 40, s=s))
+        assert [lvl.ell for lvl in got] == list(range(1, 41))
+        for lvl in got:
+            e = t * lvl.ell + s
+            assert lvl.pair == derived_ab(p, t, s, lvl.ell)
+            assert (lvl.t, lvl.m, lvl.root, lvl.q) == (t, 3 * e, p ** e, p ** (3 * e))
+            assert lvl.raw == power_components(*minimal_t(p)[1:], lvl.ell, 27)
+
+    @pytest.mark.parametrize("p", [5, 13, 17])
+    def test_k4_levels_match_derived_cd(self, p):
+        for lvl in levels(p, 4, 40):
+            assert lvl.pair == lvl.raw == derived_cd(p, lvl.ell)
+            assert (lvl.t, lvl.m, lvl.root, lvl.q) == (1, 4 * lvl.ell, p ** lvl.ell, p ** (4 * lvl.ell))
+
+    def test_validates_before_the_first_level(self):
+        with pytest.raises(BadInput):
+            list(levels(7, 3, 0, t=2))
+        with pytest.raises(BadInput):
+            list(levels(7, 3, 0, s=3))
+
+    def test_deep_level_by_pair_power(self):
+        # level 3000 of the p = 7 family by one pair power, as a referee sees it
+        a, b = derived_ab(7, 3, 1, 3000)
+        assert a * a + 27 * b * b == 4 * 7 ** 9001
 
 
 class TestInvariantCheckers:
