@@ -9,14 +9,21 @@ command; a hit replays byte-identical output.
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or
 out-of-scope parameters (with a diagnostic naming the violated hypothesis).
 
+Each subcommand declares only the flags it reads, so the cache key (the
+parsed arguments) holds only values that can change the output: spectrum,
+verify, energy and equienergetic take -k -p (-m | --lift) -t -s --variant,
+and spectrum and verify also --dense-cap --char-cap (spectrum --verify);
+lift takes -k -p -t -s (--lift | --ell-max), family -k -p -t -s --ell-max,
+tables --table.  All but tables take --format, all take --cache.  -t and -s
+are lift offsets: with -m they exit 2, and k = 4 takes only -t 1 and -s 0.
+
 Every cap can be overridden by an environment variable with the GPSPEC_
-prefix (GPSPEC_DENSE_CAP, GPSPEC_CHAR_CAP, GPSPEC_CODEWORD_CAP,
-GPSPEC_ELL_MAX); an explicit flag wins, and an unset or empty variable leaves
-the default.  Values from either source pass the same check: --ell-max counts
-the levels 1..ell_max to probe, so 0 is the empty range, while the oracle
-caps --dense-cap, --char-cap and --codeword-cap must be at least 1.  A value
-out of range or not an integer exits 2 with a diagnostic naming the flag or
-variable it came from.
+prefix (GPSPEC_DENSE_CAP, GPSPEC_CHAR_CAP, GPSPEC_ELL_MAX); an explicit flag
+wins, and an unset or empty variable leaves the default.  Values from either
+source pass the same check: --ell-max counts the levels 1..ell_max to probe,
+so 0 is the empty range, while the oracle caps --dense-cap and --char-cap
+must be at least 1.  A value out of range or not an integer exits 2 with a
+diagnostic naming the flag or variable it came from.
 """
 from __future__ import annotations
 
@@ -38,8 +45,8 @@ from .spectra import (GraphSpec, Spectrum, Variant, k3_case_a_eigenvalues,
 _ENV_PREFIX = "GPSPEC_"
 # cap -> (default, least admissible value).  ell_max is a count of levels, so
 # 0 (the empty range) is valid; the oracle size caps must be at least 1.
-_CAPS = {"dense_cap": (1500, 1), "char_cap": (oracle.CHAR_CAP, 1),
-         "codeword_cap": (oracle.CODEWORD_CAP, 1), "ell_max": (ELL_MAX, 0)}
+_CAPS = {"dense_cap": (oracle.DENSE_CAP, 1), "char_cap": (oracle.CHAR_CAP, 1),
+         "ell_max": (ELL_MAX, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +248,23 @@ def _cache_lookup(path: str, key: str) -> tuple[str, int] | None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            try:
+                rec = json.loads(line)
+            except ValueError:          # a blank, truncated or foreign line matches nothing
                 continue
-            rec = json.loads(line)
-            if rec["key"] == key:
+            if isinstance(rec, dict) and rec.get("key") == key:
                 return rec["output"], rec["code"]
     return None
 
 
 def _cache_append(path: str, key: str, output: str, code: int) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"key": key, "output": output, "code": code}, sort_keys=True) + "\n")
-        fh.flush()
+    line = json.dumps({"key": key, "output": output, "code": code}, sort_keys=True) + "\n"
+    with open(path, "ab+") as fh:
+        if fh.tell():                   # end a truncated last line before appending
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = "\n" + line
+        fh.write(line.encode("utf-8"))
 
 
 def _cache_key(command: str, args: argparse.Namespace) -> str:
@@ -269,27 +280,25 @@ def _cache_key(command: str, args: argparse.Namespace) -> str:
 
 def _resolve_graph(args) -> tuple[GraphSpec, Spectrum]:
     """GraphSpec and closed-form spectrum from either the (k,p,m) route or
-    the lift route (--lift L, optional -t/-s for k=3)."""
+    the lift route (--lift L, with the offsets -t/-s)."""
     variant = Variant(args.variant)
-    if getattr(args, "lift", None) is not None:
-        ell = args.lift
-        if args.k not in (3, 4):
-            raise GPSpecError(f"lift route needs k in {{3, 4}}, got {args.k}")
-        if args.k == 3:
-            t = args.t if args.t is not None else dioph.minimal_t(args.p)[0]
-            s = args.s or 0
-            spectrum = lift.derived_spectrum_k3(args.p, t, s, ell)
-            m = 3 * (t * ell + s)
-        else:
-            spectrum = lift.derived_spectrum_k4(args.p, ell)
-            m = 4 * ell
-        if variant is not Variant.GP:
-            raise GPSpecError("--lift computes GP spectra; combine with --variant gp")
-        return GraphSpec(args.k, args.p, m, variant), spectrum
-    if args.m is None:
-        raise GPSpecError("either -m or --lift is required")
-    g = GraphSpec(args.k, args.p, args.m, variant)
-    return g, spectrum_of(g)
+    if args.lift is None:
+        if args.t is not None or args.s is not None:
+            raise GPSpecError("-t and -s are lift offsets; use them with --lift, not -m")
+        g = GraphSpec(args.k, args.p, args.m, variant)
+        return g, spectrum_of(g)
+    ell, s = args.lift, args.s or 0
+    if args.k == 3:
+        t = args.t if args.t is not None else dioph.minimal_t(args.p)[0]
+        spectrum = lift.derived_spectrum_k3(args.p, t, s, ell)
+        m = 3 * (t * ell + s)
+    else:
+        lift.check_k4_offsets(args.t, s)
+        spectrum = lift.derived_spectrum_k4(args.p, ell)
+        m = 4 * ell
+    if variant is not Variant.GP:
+        raise GPSpecError("--lift computes GP spectra; combine with --variant gp")
+    return GraphSpec(args.k, args.p, m, variant), spectrum
 
 
 def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> tuple[list[str], list[str]]:
@@ -302,7 +311,7 @@ def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> tuple[list[str],
         if got != s:
             mismatches.append("character-sum")
     if g.q <= args.dense_cap:
-        graph = oracle.build_graph(g, dense_cap=max(args.dense_cap, oracle.DENSE_CAP))
+        graph = oracle.build_graph(g, dense_cap=args.dense_cap)
         got = oracle.dense_spectrum(graph, cap=args.dense_cap)
         checked.append("dense-eigensolver")
         if got != s:
@@ -325,9 +334,8 @@ def cmd_spectrum(args) -> tuple[str, int]:
     return out, 0
 
 
-def cmd_verify(args) -> tuple[str, int]:
-    args.verify = True
-    return cmd_spectrum(args)
+#: ``verify`` is ``spectrum --verify``; the name stays for bench/tracing.py.
+cmd_verify = cmd_spectrum
 
 
 def cmd_energy(args) -> tuple[str, int]:
@@ -394,24 +402,10 @@ def cmd_tables(args) -> tuple[str, int]:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, *, graph=True, caps=True):
-    if graph:
-        sp.add_argument("-k", type=int, choices=(3, 4), default=3,
-                        help="power-residue parameter")
-        sp.add_argument("-p", type=int, required=True, help="prime characteristic")
-        sp.add_argument("-m", type=int, help="field exponent, q = p^m")
-        sp.add_argument("-t", type=int, help="minimal exponent (k=3 lift route)")
-        sp.add_argument("-s", type=int, help="lift offset in [0, t)")
-        sp.add_argument("--lift", type=int, metavar="L",
-                        help="compute at lift level L instead of from -m")
-        sp.add_argument("--variant", choices=[v.value for v in Variant], default="gp")
-    sp.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-    if caps:
-        for cap, (default, least) in _CAPS.items():
-            sp.add_argument("--" + cap.replace("_", "-"), type=int,
-                            help=f"cap, at least {least} "
-                                 f"(env {_ENV_PREFIX}{cap.upper()}, default {default})")
-    sp.add_argument("--cache", metavar="PATH", help="append-only JSONL result cache")
+def _add_cap(sp, cap: str) -> None:
+    default, least = _CAPS[cap]
+    sp.add_argument("--" + cap.replace("_", "-"), type=int,
+                    help=f"cap, at least {least} (env {_ENV_PREFIX}{cap.upper()}, default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,37 +413,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gpspec",
         description="spectra, energies and equienergy of generalized Paley graphs (k = 3, 4)")
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, func, help_ in (
+            ("spectrum", cmd_spectrum, "closed-form spectrum of one graph"),
+            ("energy", cmd_energy, "energy with bounds / exact formula"),
+            ("equienergetic", cmd_equienergetic, "complementary-equienergy report"),
+            ("lift", cmd_lift, "coefficient pairs of the lifting recursion"),
+            ("family", cmd_family, "probe equienergetic levels of a lifted family"),
+            ("verify", cmd_spectrum, "spectrum plus oracle agreement (exit 1 on mismatch)"),
+            ("tables", cmd_tables, "reproduce the lifted-family tables as CSV")):
+        subs[name] = sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(func=func)
+        sp.add_argument("--cache", metavar="PATH", help="append-only JSONL result cache")
+        if name == "tables":
+            sp.add_argument("--table", choices=("1", "2", "3", "all"), default="all")
+            continue
+        sp.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+        sp.add_argument("-k", type=int, choices=(3, 4), default=3, help="power-residue parameter")
+        sp.add_argument("-p", type=int, required=True, help="prime characteristic")
+        sp.add_argument("-t", type=int, help="minimal exponent of p (lift offset; k=4 takes 1)")
+        sp.add_argument("-s", type=int, help="lift offset in [0, t) (k=4 takes 0)")
 
-    sp = sub.add_parser("spectrum", help="closed-form spectrum of one graph")
-    _add_common(sp)
-    sp.add_argument("--verify", action="store_true",
-                    help="cross-check against the oracles; exit 1 on mismatch")
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("energy", help="energy with bounds / exact formula")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_energy)
-
-    sp = sub.add_parser("equienergetic", help="complementary-equienergy report")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_equienergetic)
-
-    sp = sub.add_parser("lift", help="coefficient pairs of the lifting recursion")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_lift)
-
-    sp = sub.add_parser("family", help="probe equienergetic levels of a lifted family")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_family)
-
-    sp = sub.add_parser("verify", help="spectrum plus oracle agreement (exit 1 on mismatch)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("tables", help="reproduce the lifted-family tables as CSV")
-    sp.add_argument("--table", choices=("1", "2", "3", "all"), default="all")
-    _add_common(sp, graph=False, caps=False)
-    sp.set_defaults(func=cmd_tables)
+    for name in ("spectrum", "verify", "energy", "equienergetic"):
+        route = subs[name].add_mutually_exclusive_group(required=True)
+        route.add_argument("-m", type=int, help="field exponent, q = p^m")
+        route.add_argument("--lift", type=int, metavar="L",
+                           help="compute at lift level L instead of from -m")
+        subs[name].add_argument("--variant", choices=[v.value for v in Variant], default="gp")
+    for name in ("spectrum", "verify"):
+        _add_cap(subs[name], "dense_cap")
+        _add_cap(subs[name], "char_cap")
+    subs["spectrum"].add_argument("--verify", action="store_true",
+                                  help="cross-check against the oracles; exit 1 on mismatch")
+    subs["verify"].set_defaults(verify=True)
+    count = subs["lift"].add_mutually_exclusive_group()
+    count.add_argument("--lift", type=int, metavar="L", help="levels 1..L (as --ell-max L)")
+    _add_cap(count, "ell_max")
+    _add_cap(subs["family"], "ell_max")
     return parser
 
 
@@ -478,29 +478,23 @@ def _resolve_caps(args: argparse.Namespace) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     problem = _resolve_caps(args)
     if problem is not None:
         sys.stderr.write(f"error: {problem}\n")
         return 2
-    cache_path = getattr(args, "cache", None)
     key = _cache_key(args.command, args)
-    if cache_path:
-        hit = _cache_lookup(cache_path, key)
-        if hit is not None:
-            sys.stdout.write(hit[0])
-            return hit[1]
+    hit = _cache_lookup(args.cache, key) if args.cache else None
+    if hit is not None:
+        sys.stdout.write(hit[0])
+        return hit[1]
     try:
         output, code = args.func(args)
-    except GPSpecError as exc:
+    except (GPSpecError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    if cache_path:
-        _cache_append(cache_path, key, output, code)
+    if args.cache:
+        _cache_append(args.cache, key, output, code)
     sys.stdout.write(output)
     return code
 

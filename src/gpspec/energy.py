@@ -32,9 +32,8 @@ class EnergyReport:
     criterion_agrees: bool
 
 
-def energy(s: Spectrum) -> int:
-    """E = sum of multiplicity * |eigenvalue| (exact integer)."""
-    return sum(e * abs(v) for v, e in s.entries)
+#: E = sum of multiplicity * |eigenvalue|, as a function of the spectrum.
+energy = Spectrum.energy
 
 
 def semiprimitive_energy(k: int, p: int, m: int) -> int:

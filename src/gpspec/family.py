@@ -91,8 +91,6 @@ def find_equienergetic_family(p: int, k: int, t: int | None = None, s: int = 0,
     the equienergy verdict (sign criterion) and the interval condition.
     For k=3 a given t must be the minimal exponent; k=4 takes t = 1, s = 0.
     """
-    if k == 4 and (s != 0 or t not in (None, 1)):
-        raise BadInput("k=4 families take no (t, s) offsets")
     if k not in (3, 4):
         raise BadInput(f"k = {k} not in {{3, 4}}")
     witnesses = []

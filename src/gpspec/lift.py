@@ -125,13 +125,20 @@ class Level:
     pair: tuple[int, int]
 
 
+def check_k4_offsets(t: int | None, s: int) -> None:
+    """A k = 4 family has no (t, s) offsets: only t = 1 (or none) and s = 0."""
+    if s != 0 or t not in (None, 1):
+        raise BadInput("k=4 families take no (t, s) offsets")
+
+
 def levels(p: int, k: int, ell_max: int, t: int | None = None, s: int = 0) -> Iterator[Level]:
     """Levels 1..ell_max of the family of GP(k, p), invariants checked; the
-    k = 3 base is ``k3_base_pairs(p, s, t)``, and k = 4 ignores t and s."""
+    k = 3 base is ``k3_base_pairs(p, s, t)``, and k = 4 takes no offsets."""
     if k == 3:
         t, base, base_ab = k3_base_pairs(p, s, t)
         coeff, check = 27, check_k3_invariants
     else:
+        check_k4_offsets(t, s)
         t, s, base, base_ab = 1, 0, derived_cd(p, 1), (1, 0)
         coeff, check = 4, check_k4_invariants
     root, q, raw = p ** s, p ** (k * s), (1, 0)

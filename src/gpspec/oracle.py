@@ -24,8 +24,8 @@ from .errors import BadInput, BadK, CapExceeded, NoConvergence, NonIntegral, Out
 from .ff import make_field, kth_power_residues
 from .spectra import GraphSpec, Spectrum, Variant
 
-#: Default caps; every CLI cap maps onto one of these.
-DENSE_CAP = 4096
+#: Default caps; the CLI's --dense-cap and --char-cap default to the first two.
+DENSE_CAP = 1500
 CHAR_CAP = 300_000
 CODEWORD_CAP = 100_000
 
@@ -198,7 +198,7 @@ def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:
     raise BadInput(f"unknown engine {engine!r}")
 
 
-def dense_spectrum(d: DenseGraph, engine: str = "auto", cap: int = 1500) -> Spectrum:
+def dense_spectrum(d: DenseGraph, engine: str = "auto", cap: int = DENSE_CAP) -> Spectrum:
     """Integer spectrum of a regular DenseGraph via the dense eigensolver.
 
     Eigenvalues are clustered at tolerance 1e-4 and each cluster must sit

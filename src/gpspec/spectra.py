@@ -87,6 +87,7 @@ class Spectrum:
         return tuple((v, e) for v, e in self.entries if v != self.principal)
 
     def energy(self) -> int:
+        """E = sum of multiplicity * |eigenvalue| (exact integer)."""
         return sum(e * abs(v) for v, e in self.entries)
 
 

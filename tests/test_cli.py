@@ -1,4 +1,6 @@
 """CLI: exit codes, formats, JSON round-trips, cache, env caps, goldens."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpspec.cli import (graph_from_dict, main, report_from_dict, report_to_dict,
                         spectrum_from_dict, spectrum_to_dict, table_csv, witness_from_dict,
@@ -341,3 +345,152 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[156]^1" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# The flag surface: each subcommand declares only the flags it reads
+# ---------------------------------------------------------------------------
+
+def run_argv(args, capsys):
+    """Like run_cli, but an argparse rejection (SystemExit) gives its code."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_GRAPH = {"-k", "-p", "-m", "--lift", "-t", "-s", "--variant", "--format", "--cache"}
+FLAGS = {
+    "spectrum": _GRAPH | {"--dense-cap", "--char-cap", "--verify"},
+    "verify": _GRAPH | {"--dense-cap", "--char-cap"},
+    "energy": _GRAPH,
+    "equienergetic": _GRAPH,
+    "lift": {"-k", "-p", "-t", "-s", "--lift", "--ell-max", "--format", "--cache"},
+    "family": {"-k", "-p", "-t", "-s", "--ell-max", "--format", "--cache"},
+    "tables": {"--table", "--cache"},
+}
+
+
+def test_each_subcommand_declares_its_flags():
+    from gpspec.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    declared = {name: {a.option_strings[0] for a in sp._actions
+                       if a.option_strings and a.option_strings[0] != "-h"}
+                for name, sp in sub.choices.items()}
+    assert declared == FLAGS
+    assert sum(map(len, declared.values())) == 58
+
+
+_BASE = {"spectrum": ["-k", "3", "-p", "7", "-m", "3"], "verify": ["-k", "3", "-p", "7", "-m", "3"],
+         "energy": ["-k", "3", "-p", "7", "-m", "3"], "equienergetic": ["-k", "3", "-p", "7", "-m", "3"],
+         "lift": ["-k", "3", "-p", "7"], "family": ["-k", "3", "-p", "7"], "tables": []}
+_VALUE = {"-k": "3", "-p": "7", "-m": "5", "--lift": "4", "-t": "3", "-s": "1", "--variant": "comp",
+          "--format": "json", "--dense-cap": "0", "--char-cap": "9", "--ell-max": "2",
+          "--table": "1", "--verify": None, "--codeword-cap": "9"}
+
+
+@pytest.mark.parametrize("command,flag", sorted(
+    (c, f) for c in FLAGS for f in sorted(_VALUE) if f not in FLAGS[c]))
+def test_undeclared_flag_rejected(command, flag, capsys):
+    value = [] if _VALUE[flag] is None else [_VALUE[flag]]
+    code, out, err = run_argv([command, *_BASE[command], flag, *value], capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+class TestRejectedCombinations:
+    def test_m_and_lift_exclude_each_other(self, capsys):
+        code, out, err = run_argv(["spectrum", "-k", "3", "-p", "7", "-m", "3", "--lift", "1"],
+                                  capsys)
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in err
+
+    def test_m_or_lift_required(self, capsys):
+        code, out, err = run_argv(["energy", "-k", "3", "-p", "7"], capsys)
+        assert code == 2 and out == "" and "-m --lift is required" in err
+
+    def test_lift_and_ell_max_exclude_each_other(self, capsys):
+        code, out, _ = run_argv(["lift", "-k", "4", "-p", "5", "--lift", "2", "--ell-max", "3"],
+                                capsys)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["lift", "-k", "4", "-p", "5", "-s", "1", "-t", "7", "--ell-max", "2"],
+        ["spectrum", "-k", "4", "-p", "5", "-s", "1", "--lift", "1"],
+    ])
+    def test_k4_offsets_rejected(self, args, capsys):
+        code, out, err = run_argv(args, capsys)
+        assert code == 2 and out == ""
+        assert "k=4 families take no (t, s) offsets" in err
+
+    def test_offsets_with_m_rejected(self, capsys):
+        code, out, err = run_argv(["spectrum", "-k", "3", "-p", "7", "-m", "3", "-t", "3", "-s", "1"],
+                                  capsys)
+        assert code == 2 and out == ""
+        assert "-t and -s are lift offsets" in err
+
+    @pytest.mark.parametrize("command,count", [("spectrum", ["--lift", "1"]),
+                                               ("lift", ["--ell-max", "2"])])
+    def test_k4_null_offsets_accepted(self, command, count, capsys):
+        plain = [command, "-k", "4", "-p", "5", *count]
+        code, out, _ = run_argv(plain + ["-t", "1", "-s", "0"], capsys)
+        assert code == 0 and out == run_argv(plain, capsys)[1]
+
+
+class TestCacheRobustness:
+    def test_truncated_line_is_a_miss(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        args = ["spectrum", "-k", "3", "-p", "7", "-m", "3"]
+        _, expected, _ = run_cli(args, capsys)
+        run_cli(["energy", "-k", "3", "-p", "7", "-m", "3", "--cache", str(cache)], capsys)
+        whole = cache.read_text()
+        with open(cache, "a", encoding="utf-8") as fh:
+            fh.write(whole[:len(whole) // 2])               # a record cut short, no newline
+        for _ in range(2):                                  # a miss that appends, then a hit
+            code, out, err = run_argv(args + ["--cache", str(cache)], capsys)
+            assert code == 0 and out == expected and err == ""
+            assert len(cache.read_text().splitlines()) == 3  # the cut line was ended first
+
+    def test_unread_env_cap_keeps_one_entry(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        args = ["spectrum", "-k", "3", "-p", "7", "-m", "3", "--cache", str(cache)]
+        monkeypatch.delenv("GPSPEC_ELL_MAX", raising=False)
+        _, first, _ = run_cli(args, capsys)
+        monkeypatch.setenv("GPSPEC_ELL_MAX", "7")
+        _, second, _ = run_cli(args, capsys)
+        assert second == first
+        assert len(cache.read_text().splitlines()) == 1
+
+
+_FUZZ_COMMANDS = ["spectrum", "energy", "equienergetic", "lift", "family", "tables"]
+_FUZZ_FLAGS = ["-k", "-p", "-m", "-t", "-s", "--lift", "--variant", "--format", "--dense-cap",
+               "--char-cap", "--ell-max", "--table", "--cache", "--codeword-cap"]
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", "x", "1.5", "-", "0x7", "3317044064679887385961981", "gp", "gpsum",
+                     "comp", "gpsum-comp", "json", "csv", "pretty", "all", "1", "3", "4", "5",
+                     "7", "13", "31"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "cache.jsonl")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(_FUZZ_COMMANDS),
+       flags=st.lists(st.tuples(st.sampled_from(_FUZZ_FLAGS), _FUZZ_VALUES), max_size=7))
+def test_fuzz_exits_0_1_or_2(fuzz_cache, command, flags):
+    argv = [command]
+    for flag, value in flags:
+        argv += [flag, fuzz_cache if flag == "--cache" else value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
