@@ -2,9 +2,11 @@
 
 Commands: spectrum | energy | equienergetic | lift | family | verify | tables.
 Eigenvalues, multiplicities and energies serialize as decimal strings (they
-outgrow fixed-width integers quickly under lifting).  The cache is an
-append-only line-delimited JSON file keyed by the canonical parameters of a
-command; a hit replays byte-identical output.
+outgrow fixed-width integers quickly under lifting), of any size: a command
+runs with the interpreter's int/str digit limit lifted, while the arguments
+are parsed under it.  The cache is an append-only line-delimited JSON file
+keyed by the canonical parameters of a command; a hit replays byte-identical
+output.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or
 out-of-scope parameters (with a diagnostic naming the violated hypothesis).
@@ -16,6 +18,9 @@ and spectrum and verify also --dense-cap --char-cap (spectrum --verify);
 lift takes -k -p -t -s (--lift | --ell-max), family -k -p -t -s --ell-max,
 tables --table.  All but tables take --format, all take --cache.  -t and -s
 are lift offsets: with -m they exit 2, and k = 4 takes only -t 1 and -s 0.
+On the graph commands --lift L names level L of the family of p, the graph
+with m = k*(t*L + s) (``lift.level_exponent``); from there every variant
+takes the same route as -m.
 
 Every cap can be overridden by an environment variable with the GPSPEC_
 prefix (GPSPEC_DENSE_CAP, GPSPEC_CHAR_CAP, GPSPEC_ELL_MAX); an explicit flag
@@ -28,12 +33,13 @@ diagnostic naming the flag or variable it came from.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import dioph, lift, oracle
+from . import lift, oracle
 from .energy import (EnergyReport, energy_bounds, is_complementary_equienergetic,
                      semiprimitive_energy)
 from .errors import GPSpecError
@@ -195,8 +201,8 @@ def table_csv(which: int) -> str:
     """Byte-stable CSV of the three lifted-family tables.
 
     Tables 1 and 2 list non-principal eigenvalues in descending order;
-    table 3 lists them in formula order.  Everything is derived from the
-    base solutions only (no per-level quadratic-form solving).
+    table 3 lists them in formula order.  Every row is a level of
+    ``lift.levels``, and table 1's level 0 (GP(3, 7^3)) is its base pair.
     """
     if which == 1:
         lines = [
@@ -204,11 +210,12 @@ def table_csv(which: int) -> str:
             "# eigenvalues: non-principal values, descending; principal is (q-1)/3",
             "ell,a,b,q,eigenvalues",
         ]
-        for ell in range(0, 5):
-            a, b = lift.derived_ab(7, 3, 1, ell)
-            e = 3 * ell + 1
-            lams = sorted(k3_case_a_eigenvalues(7 ** e, a, b), reverse=True)
-            lines.append(f"{ell},{a},{b},7^{3 * e}," + ";".join(map(str, lams)))
+        base_ab = lift.k3_base_pairs(7, 1, 3)[2]
+        rows = [(0, base_ab, 7, 3)] + [(lvl.ell, lvl.pair, lvl.root, lvl.m)
+                                       for lvl in lift.levels(7, 3, 4, 3, 1)]
+        for ell, (a, b), root, m in rows:
+            lams = sorted(k3_case_a_eigenvalues(root, a, b), reverse=True)
+            lines.append(f"{ell},{a},{b},7^{m}," + ";".join(map(str, lams)))
         return "\n".join(lines) + "\n"
     if which == 2:
         lines = [
@@ -218,10 +225,10 @@ def table_csv(which: int) -> str:
             "#  can mistakenly repeat the p=7 family's principal values)",
             "ell,a,b,q,eigenvalues",
         ]
-        for ell in range(1, 6):
-            a, b = lift.derived_ab(31, 1, 0, ell)
-            lams = sorted(k3_case_a_eigenvalues(31 ** ell, a, b), reverse=True)
-            lines.append(f"{ell},{a},{b},31^{3 * ell}," + ";".join(map(str, lams)))
+        for lvl in lift.levels(31, 3, 5):
+            a, b = lvl.pair
+            lams = sorted(k3_case_a_eigenvalues(lvl.root, a, b), reverse=True)
+            lines.append(f"{lvl.ell},{a},{b},31^{lvl.m}," + ";".join(map(str, lams)))
         return "\n".join(lines) + "\n"
     if which == 3:
         lines = [
@@ -231,10 +238,10 @@ def table_csv(which: int) -> str:
             "#  (-q^(1/2)+2c*q^(1/4)-1)/4, (-q^(1/2)-2c*q^(1/4)-1)/4)",
             "ell,c,d,eigenvalues",
         ]
-        for ell in range(1, 6):
-            c, d = lift.derived_cd(5, ell)
-            lams = k4_case_a_eigenvalues(5 ** ell, c, d)
-            lines.append(f"{ell},{c},{d}," + ";".join(map(str, lams)))
+        for lvl in lift.levels(5, 4, 5):
+            c, d = lvl.pair
+            lams = k4_case_a_eigenvalues(lvl.root, c, d)
+            lines.append(f"{lvl.ell},{c},{d}," + ";".join(map(str, lams)))
         return "\n".join(lines) + "\n"
     raise ValueError(f"no table {which}")
 
@@ -279,26 +286,15 @@ def _cache_key(command: str, args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------------------
 
 def _resolve_graph(args) -> tuple[GraphSpec, Spectrum]:
-    """GraphSpec and closed-form spectrum from either the (k,p,m) route or
-    the lift route (--lift L, with the offsets -t/-s)."""
-    variant = Variant(args.variant)
-    if args.lift is None:
-        if args.t is not None or args.s is not None:
-            raise GPSpecError("-t and -s are lift offsets; use them with --lift, not -m")
-        g = GraphSpec(args.k, args.p, args.m, variant)
-        return g, spectrum_of(g)
-    ell, s = args.lift, args.s or 0
-    if args.k == 3:
-        t = args.t if args.t is not None else dioph.minimal_t(args.p)[0]
-        spectrum = lift.derived_spectrum_k3(args.p, t, s, ell)
-        m = 3 * (t * ell + s)
-    else:
-        lift.check_k4_offsets(args.t, s)
-        spectrum = lift.derived_spectrum_k4(args.p, ell)
-        m = 4 * ell
-    if variant is not Variant.GP:
-        raise GPSpecError("--lift computes GP spectra; combine with --variant gp")
-    return GraphSpec(args.k, args.p, m, variant), spectrum
+    """The graph of -m, or of level --lift L of the family of p (offsets
+    -t/-s), and its closed-form spectrum."""
+    m = args.m
+    if args.lift is not None:
+        m = lift.level_exponent(args.p, args.k, args.lift, args.t, args.s or 0)
+    elif args.t is not None or args.s is not None:
+        raise GPSpecError("-t and -s are lift offsets; use them with --lift, not -m")
+    g = GraphSpec(args.k, args.p, m, Variant(args.variant))
+    return g, spectrum_of(g)
 
 
 def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> tuple[list[str], list[str]]:
@@ -477,6 +473,21 @@ def _resolve_caps(args: argparse.Namespace) -> str | None:
     return None
 
 
+@contextlib.contextmanager
+def _any_int_size():
+    """Lift the interpreter's int/str digit limit (Python 3.10.7 and later)
+    for the body, and restore its value on every way out."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     problem = _resolve_caps(args)
@@ -488,11 +499,12 @@ def main(argv=None) -> int:
     if hit is not None:
         sys.stdout.write(hit[0])
         return hit[1]
-    try:
-        output, code = args.func(args)
-    except (GPSpecError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    with _any_int_size():
+        try:
+            output, code = args.func(args)
+        except (GPSpecError, ValueError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     if args.cache:
         _cache_append(args.cache, key, output, code)
     sys.stdout.write(output)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import dioph
 from .errors import OutOfScope
 from .ff import HypothesisCase
-from .spectra import Spectrum, complement_spectrum, require_in_scope
+from .spectra import Spectrum, _exact_div, complement_spectrum, require_in_scope
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,7 @@ def semiprimitive_energy(k: int, p: int, m: int) -> int:
     else:
         num = n * (3 * root + 1) if m % 4 == 0 else 3 * n * (root + 1)
         den = 2
-    value, rem = divmod(num, den)
-    if rem:
-        raise AssertionError(f"semiprimitive energy {num}/{den} is not integral")
-    return value
+    return _exact_div(num, den)
 
 
 def energy_bounds(k: int, p: int, m: int) -> tuple[Fraction, Fraction]:

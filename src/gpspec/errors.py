@@ -31,10 +31,11 @@ class BadP(GPSpecError):
 
 
 class NoSolution(GPSpecError):
-    """A quadratic-form representation search found no admissible solution.
+    """The base solve of p = u^2 + 3v^2 or u^2 + v^2 found no solution.
 
-    Cannot occur for the in-scope targets; raised defensively if the
-    bounded scan is exhausted.
+    Cannot occur for a prime p = 1 (mod k); raised when no primitive k-th
+    root of unity mod p turns up or Cornacchia's step fails, both of which
+    mean that p is composite.
     """
 
 

@@ -37,6 +37,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:                     # its least prime factor would be at most 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -185,7 +187,7 @@ class FieldSpec:
 
     Immutable after construction; all operations are pure, so instances are
     safe to share between threads.  Elements are ints in [0, q) encoding
-    base-p coefficient vectors.  Discrete-log / trace tables are built
+    base-p coefficient vectors.  The exponential and trace tables are built
     lazily, once, on first use.
     """
 
@@ -196,7 +198,6 @@ class FieldSpec:
         self.modulus = modulus
         self.generator = generator
         self._exp: list[int] | None = None
-        self._dlog: list[int] | None = None
         self._trace: list[int] | None = None
 
     def __repr__(self):
@@ -221,39 +222,17 @@ class FieldSpec:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        v, shift = 0, 1
-        for _ in range(self.m):
-            v += ((a % self.p + b % self.p) % self.p) * shift
-            a //= self.p
-            b //= self.p
-            shift *= self.p
-        return v
+        return self.from_coeffs(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return -a % self.p
-        v, shift = 0, 1
-        for _ in range(self.m):
-            v += (-a % self.p) * shift
-            a //= self.p
-            shift *= self.p
-        return v
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.from_coeffs(-x for x in self.coeffs(a))
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
         prod = _poly_rem(_poly_mul(_trim(list(self.coeffs(a))), _trim(list(self.coeffs(b))), self.p),
                          list(self.modulus), self.p)
         return self.from_coeffs(prod + [0] * (self.m - len(prod)))
 
     def pow(self, a: int, e: int) -> int:
-        if self.m == 1:
-            return pow(a, e, self.p)
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
@@ -292,27 +271,16 @@ class FieldSpec:
         return self._exp
 
     @property
-    def dlog_table(self) -> list[int]:
-        """dlog_table[code] = discrete log base generator; -1 for zero."""
-        if self._dlog is None:
-            dlog = [-1] * self.q
-            for i, e in enumerate(self.exp_table):
-                dlog[e] = i
-            self._dlog = dlog
-        return self._dlog
-
-    @property
     def trace_table(self) -> list[int]:
-        """trace_table[code] = Tr_{q/p}(code), via F_p-linearity on the basis."""
+        """trace_table[code] = Tr_{q/p}(code), via F_p-linearity on the basis:
+        digit i of the code adds digit * Tr(x^i), so the table over the first
+        i + 1 digits is p copies of the table over the first i, copy d
+        shifted by d * Tr(x^i)."""
         if self._trace is None:
-            basis = [trace(self, self.from_coeffs([0] * i + [1])) for i in range(self.m)]
-            table = []
-            for a in range(self.q):
-                acc, aa = 0, a
-                for i in range(self.m):
-                    acc += (aa % self.p) * basis[i]
-                    aa //= self.p
-                table.append(acc % self.p)
+            table = [0]
+            for i in range(self.m):
+                b = trace(self, self.from_coeffs([0] * i + [1]))
+                table = [(d * b + t) % self.p for d in range(self.p) for t in table]
             self._trace = table
         return self._trace
 
@@ -350,8 +318,6 @@ def trace(f: FieldSpec, a: int) -> int:
     """Tr_{q/p}(a) = a + a^p + ... + a^(p^(m-1)), reduced into [0, p)."""
     if not 0 <= a < f.q:
         raise BadInput(f"element code {a} outside [0, {f.q})")
-    if f.m == 1:
-        return a
     acc, t = a, a
     for _ in range(f.m - 1):
         t = f.pow(t, f.p)

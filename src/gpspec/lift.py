@@ -16,6 +16,9 @@ The k = 3 coefficient pair is (a, b) = (a0, b0) * (x, y)^ell with
 4 p^s = a0^2 + 27 b0^2 ((a0, b0) = (-2, 0) for s = 0); the k = 4 pair is
 (c, d) = (c1, d1)^ell with p^2 = c1^2 + 4 d1^2.  ``derived_ab`` and
 ``derived_cd`` take one pair power, ``levels`` one multiplication a level.
+``level_exponent`` names the graph of a level, GP(k, p^m) with
+m = k*(t*ell + s); the CLI takes its spectrum by the closed formulas, and
+the tests check ``derived_spectrum_k3``/``_k4`` against those.
 """
 from __future__ import annotations
 
@@ -131,21 +134,35 @@ def check_k4_offsets(t: int | None, s: int) -> None:
         raise BadInput("k=4 families take no (t, s) offsets")
 
 
-def levels(p: int, k: int, ell_max: int, t: int | None = None, s: int = 0) -> Iterator[Level]:
-    """Levels 1..ell_max of the family of GP(k, p), invariants checked; the
-    k = 3 base is ``k3_base_pairs(p, s, t)``, and k = 4 takes no offsets."""
+def _family_base(p: int, k: int, t: int | None, s: int
+                 ) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(t, base, base_ab) of the family of GP(k, p): for k = 3 the pairs of
+    ``k3_base_pairs(p, s, t)``, for k = 4 (no offsets) the base solution of
+    p^2 = c^2 + 4 d^2 and (1, 0).  Raises BadP unless p = 1 (mod k) is prime."""
     if k == 3:
-        t, base, base_ab = k3_base_pairs(p, s, t)
-        coeff, check = 27, check_k3_invariants
-    else:
-        check_k4_offsets(t, s)
-        t, s, base, base_ab = 1, 0, derived_cd(p, 1), (1, 0)
-        coeff, check = 4, check_k4_invariants
-    root, q, raw = p ** s, p ** (k * s), (1, 0)
+        return k3_base_pairs(p, s, t)
+    check_k4_offsets(t, s)
+    return 1, derived_cd(p, 1), (1, 0)
+
+
+def level_exponent(p: int, k: int, ell: int, t: int | None = None, s: int = 0) -> int:
+    """The exponent m of GP(k, p^m) at level ell >= 1 of the family of p,
+    k*(t*ell + s), after the checks of ``levels`` on p, t and s."""
+    if ell < 1:
+        raise BadInput("ell must be >= 1")
+    return k * (_family_base(p, k, t, s)[0] * ell + s)
+
+
+def levels(p: int, k: int, ell_max: int, t: int | None = None, s: int = 0) -> Iterator[Level]:
+    """Levels 1..ell_max of the family of GP(k, p), invariants checked."""
+    t, base, base_ab = _family_base(p, k, t, s)
+    coeff, check = (27, check_k3_invariants) if k == 3 else (4, check_k4_invariants)
+    m, root, q, raw = k * s, p ** s, p ** (k * s), (1, 0)
     for ell in range(1, ell_max + 1):
         raw = mul_pair(base, raw, coeff)
         pair = mul_pair(base_ab, raw, coeff)
         check(p, t * ell + s, *pair)
+        m += k * t
         root *= p ** t
         q *= p ** (k * t)
-        yield Level(ell, t, k * (t * ell + s), q, root, raw, pair)
+        yield Level(ell, t, m, q, root, raw, pair)

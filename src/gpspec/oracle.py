@@ -24,10 +24,10 @@ from .errors import BadInput, BadK, CapExceeded, NoConvergence, NonIntegral, Out
 from .ff import make_field, kth_power_residues
 from .spectra import GraphSpec, Spectrum, Variant
 
-#: Default caps; the CLI's --dense-cap and --char-cap default to the first two.
+#: Default caps; the CLI's --dense-cap and --char-cap default to them.  The code
+#: weights walk the same field tables as the character sums, so CHAR_CAP bounds both.
 DENSE_CAP = 1500
 CHAR_CAP = 300_000
-CODEWORD_CAP = 100_000
 
 #: Largest matrix handed to the cyclic Jacobi under engine="auto".
 JACOBI_MAX_N = 128
@@ -249,7 +249,7 @@ class WeightDistribution:
 
 
 def code_weight_distribution(k: int, p: int, m: int,
-                             codeword_cap: int = CODEWORD_CAP) -> WeightDistribution:
+                             codeword_cap: int = CHAR_CAP) -> WeightDistribution:
     """Weights of the q codewords (Tr(gamma w^(k i)))_{i < n}, w primitive.
 
     Needs k | (q-1)/(p-1) so the code length is n = (q-1)/k.  Codewords of
@@ -273,12 +273,11 @@ def code_weight_distribution(k: int, p: int, m: int,
     return WeightDistribution(tuple(sorted(tally.items())), q)
 
 
-def weight_eigenvalue_check(k: int, p: int, m: int,
-                            char_cap: int = CHAR_CAP,
-                            codeword_cap: int = CODEWORD_CAP) -> bool:
+def weight_eigenvalue_check(k: int, p: int, m: int, char_cap: int = CHAR_CAP) -> bool:
     """True iff mapping weights through  lambda = n - p*w/(p-1)  reproduces
-    the character-sum spectrum exactly, frequencies as multiplicities."""
-    dist = code_weight_distribution(k, p, m, codeword_cap=codeword_cap)
+    the character-sum spectrum exactly, frequencies as multiplicities; both
+    oracles run under char_cap."""
+    dist = code_weight_distribution(k, p, m, codeword_cap=char_cap)
     q = p ** m
     n = (q - 1) // k
     mapped = []

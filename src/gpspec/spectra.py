@@ -100,10 +100,10 @@ def _exact_div(num: int, den: int) -> int:
 
 def require_in_scope(k: int, p: int, m: int) -> HypothesisCase:
     """The hypothesis case of (k, p, m), raising OutOfScope with the reason."""
-    reason = out_of_scope_reason(k, p, m)
-    if reason:
-        raise OutOfScope(reason)
-    return theorem_hypotheses(k, p, m)
+    case = theorem_hypotheses(k, p, m)
+    if case is HypothesisCase.OUT_OF_SCOPE:
+        raise OutOfScope(out_of_scope_reason(k, p, m))
+    return case
 
 
 def k3_case_a_eigenvalues(r: int, a: int, b: int) -> tuple[int, int, int]:

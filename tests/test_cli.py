@@ -440,6 +440,94 @@ class TestRejectedCombinations:
         assert code == 0 and out == run_argv(plain, capsys)[1]
 
 
+class TestLiftRoute:
+    """--lift L names a level, the graph with m = k*(t*L + s); from there it
+    takes the same route as -m, for every variant."""
+
+    TWINS = [(["-k", "3", "-p", "31", "--lift", "2"], ["-k", "3", "-p", "31", "-m", "6"]),
+             (["-k", "3", "-p", "7", "-s", "1", "--lift", "1"], ["-k", "3", "-p", "7", "-m", "12"]),
+             (["-k", "3", "-p", "7", "-t", "3", "-s", "2", "--lift", "2"], ["-k", "3", "-p", "7", "-m", "24"]),
+             (["-k", "4", "-p", "5", "--lift", "2"], ["-k", "4", "-p", "5", "-m", "8"]),
+             (["-k", "4", "-p", "13", "-t", "1", "-s", "0", "--lift", "1"], ["-k", "4", "-p", "13", "-m", "4"])]
+
+    @pytest.mark.parametrize("command", ["spectrum", "energy", "equienergetic"])
+    @pytest.mark.parametrize("by_lift,by_m", TWINS)
+    def test_lift_prints_what_its_m_twin_prints(self, command, by_lift, by_m, capsys):
+        for variant in [v.value for v in Variant]:
+            # q is odd: the sum graph has loops, so gpsum-comp exits 2 on both routes
+            rejected = variant == "gpsum-comp" or (command == "equienergetic" and variant != "gp")
+            for fmt in ("pretty", "json", "csv"):
+                tail = ["--variant", variant, "--format", fmt]
+                twin = run_argv([command, *by_m, *tail], capsys)
+                assert run_argv([command, *by_lift, *tail], capsys) == twin, (variant, fmt)
+                assert twin[0] == (2 if rejected else 0), (variant, fmt)
+
+    @pytest.mark.parametrize("command", ["spectrum", "energy", "equienergetic"])
+    @pytest.mark.parametrize("args,message", [
+        (["-k", "3", "-p", "31", "--lift", "0"], "ell must be >= 1"),
+        (["-k", "4", "-p", "5", "--lift", "-1"], "ell must be >= 1"),
+        (["-k", "3", "-p", "7", "-t", "2", "--lift", "1"], "minimal exponent of p = 7 is 3, not 2"),
+        (["-k", "3", "-p", "7", "-s", "3", "--lift", "1"], "s = 3 must satisfy 0 <= s < t = 3"),
+        (["-k", "3", "-p", "5", "--lift", "1"], "p = 5 must be a prime with p = 1 (mod 3)"),
+        (["-k", "4", "-p", "5", "-s", "1", "--lift", "1"], "k=4 families take no (t, s) offsets"),
+        # -k 4 -p 7 -m 4 is an in-scope semiprimitive graph, but no level of a family
+        (["-k", "4", "-p", "7", "--lift", "1"], "p = 7 must be a prime with p = 1 (mod 4)"),
+    ])
+    def test_single_fault_rejected(self, command, args, message, capsys):
+        code, out, err = run_argv([command, *args], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def _decimal(n: int) -> str:
+    """str(n) past the interpreter's int/str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+class TestHugeIntegers:
+    """Results past the interpreter's 4300-digit int/str limit print in full,
+    and main leaves the limit as it found it."""
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    @pytest.mark.parametrize("ell", [900, 1500])
+    def test_deep_level_in_every_format(self, ell, fmt, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_argv(["spectrum", "-k", "3", "-p", "31", "--lift", str(ell),
+                                   "--format", fmt], capsys)
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        assert _decimal((31 ** (3 * ell) - 1) // 3) in out
+        assert out == run_argv(["spectrum", "-k", "3", "-p", "31", "-m", str(3 * ell),
+                                "--format", fmt], capsys)[1]
+
+    def test_limit_restored_after_an_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, _, _ = run_argv(["spectrum", "-k", "3", "-p", "7", "-m", "2"], capsys)
+        assert code == 2 and sys.get_int_max_str_digits() == limit
+
+    def test_arguments_parse_under_the_limit(self, capsys):
+        code, out, err = run_argv(["spectrum", "-k", "3", "-p", "1" * 5000, "-m", "3"], capsys)
+        assert code == 2 and out == "" and "invalid int value" in err
+
+
+def test_golden_cli_outputs():
+    """Every argv of tests/golden/cli_outputs.jsonl exits and prints as
+    recorded (tests/record_cli_golden.py)."""
+    from record_cli_golden import GOLDEN, run
+
+    entries = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+    assert len(entries) > 500
+    changed = [" ".join(e["argv"]) for e in entries if run(e["argv"]) != e]
+    assert not changed, changed
+
+
 class TestCacheRobustness:
     def test_truncated_line_is_a_miss(self, tmp_path, capsys):
         cache = tmp_path / "cache.jsonl"

@@ -91,6 +91,16 @@ class TestMakeField:
             x = f.mul(x, f.generator)
         assert x == 1 and len(seen) == f.q - 1
 
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_prime_field_is_integer_arithmetic_mod_p(self, p):
+        f = make_field(p, 1)
+        for a in range(p):
+            assert f.neg(a) == -a % p and trace(f, a) == a
+            for b in range(p):
+                assert f.add(a, b) == (a + b) % p and f.mul(a, b) == a * b % p
+            for e in range(0 if a == 0 else -p, 2 * p):
+                assert f.pow(a, e) == pow(a, e, p)
+
     def test_rejects_nonprime(self):
         with pytest.raises(NonPrime):
             make_field(6, 1)
@@ -136,8 +146,9 @@ class TestTrace:
             assert trace(f, f.add(a, b)) == (trace(f, a) + trace(f, b)) % p
 
     def test_trace_table_matches_op(self):
-        f = make_field(5, 2)
-        assert f.trace_table == [trace(f, a) for a in range(f.q)]
+        for p, m in [(5, 2), (2, 6), (3, 4), (7, 3), (13, 1)]:
+            f = make_field(p, m)
+            assert f.trace_table == [trace(f, a) for a in range(f.q)], (p, m)
 
     def test_rejects_foreign_element(self):
         with pytest.raises(BadInput):

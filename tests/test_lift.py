@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpspec.dioph import minimal_t
-from gpspec.errors import BadInput
+from gpspec.errors import BadInput, BadP
 from gpspec.lift import (check_k3_invariants, check_k4_invariants, derived_ab, derived_cd,
-                         derived_spectrum_k3, derived_spectrum_k4, levels, mul_pair, step_xy)
+                         derived_spectrum_k3, derived_spectrum_k4, level_exponent, levels,
+                         mul_pair, step_xy)
 from gpspec.oracle import char_sum_spectrum
 from gpspec.spectra import GraphSpec, gp_spectrum
 from referees import power_components
@@ -218,6 +219,7 @@ class TestLevels:
             e = t * lvl.ell + s
             assert lvl.pair == derived_ab(p, t, s, lvl.ell)
             assert (lvl.t, lvl.m, lvl.root, lvl.q) == (t, 3 * e, p ** e, p ** (3 * e))
+            assert level_exponent(p, 3, lvl.ell, s=s) == level_exponent(p, 3, lvl.ell, t, s) == lvl.m
             assert lvl.raw == power_components(*minimal_t(p)[1:], lvl.ell, 27)
 
     @pytest.mark.parametrize("p", [5, 13, 17])
@@ -225,12 +227,20 @@ class TestLevels:
         for lvl in levels(p, 4, 40):
             assert lvl.pair == lvl.raw == derived_cd(p, lvl.ell)
             assert (lvl.t, lvl.m, lvl.root, lvl.q) == (1, 4 * lvl.ell, p ** lvl.ell, p ** (4 * lvl.ell))
+            assert level_exponent(p, 4, lvl.ell) == level_exponent(p, 4, lvl.ell, 1, 0) == lvl.m
 
     def test_validates_before_the_first_level(self):
         with pytest.raises(BadInput):
             list(levels(7, 3, 0, t=2))
         with pytest.raises(BadInput):
             list(levels(7, 3, 0, s=3))
+
+    @pytest.mark.parametrize("args,error", [((7, 3, 0), BadInput), ((7, 3, 1, 2), BadInput),
+                                            ((7, 3, 1, None, 3), BadInput), ((5, 4, 1, 1, 1), BadInput),
+                                            ((5, 3, 1), BadP), ((7, 4, 1), BadP)])
+    def test_level_exponent_checks_like_levels(self, args, error):
+        with pytest.raises(error):
+            level_exponent(*args)
 
     def test_deep_level_by_pair_power(self):
         # level 3000 of the p = 7 family by one pair power, as a referee sees it
