@@ -45,7 +45,7 @@ from .energy import (EnergyReport, energy_bounds, is_complementary_equienergetic
 from .errors import GPSpecError
 from .family import ELL_MAX, FamilyWitness, find_equienergetic_family
 from .ff import HypothesisCase, theorem_hypotheses
-from .spectra import (GraphSpec, Spectrum, Variant, k3_case_a_eigenvalues,
+from .spectra import (GraphSpec, Spectrum, Variant, case_a_rep, k3_case_a_eigenvalues,
                       k4_case_a_eigenvalues, spectrum_of)
 
 _ENV_PREFIX = "GPSPEC_"
@@ -285,16 +285,15 @@ def _cache_key(command: str, args: argparse.Namespace) -> str:
 # Command implementations: each returns (output_text, exit_code)
 # ---------------------------------------------------------------------------
 
-def _resolve_graph(args) -> tuple[GraphSpec, Spectrum]:
+def _resolve_graph(args) -> GraphSpec:
     """The graph of -m, or of level --lift L of the family of p (offsets
-    -t/-s), and its closed-form spectrum."""
+    -t/-s)."""
     m = args.m
     if args.lift is not None:
         m = lift.level_exponent(args.p, args.k, args.lift, args.t, args.s or 0)
     elif args.t is not None or args.s is not None:
         raise GPSpecError("-t and -s are lift offsets; use them with --lift, not -m")
-    g = GraphSpec(args.k, args.p, m, Variant(args.variant))
-    return g, spectrum_of(g)
+    return GraphSpec(args.k, args.p, m, Variant(args.variant))
 
 
 def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> tuple[list[str], list[str]]:
@@ -316,7 +315,8 @@ def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> tuple[list[str],
 
 
 def cmd_spectrum(args) -> tuple[str, int]:
-    g, s = _resolve_graph(args)
+    g = _resolve_graph(args)
+    s = spectrum_of(g)
     out = render_spectrum(s, g, args.format)
     if args.verify:
         checked, mismatches = _verify_against_oracles(g, s, args)
@@ -335,12 +335,15 @@ cmd_verify = cmd_spectrum
 
 
 def cmd_energy(args) -> tuple[str, int]:
-    g, s = _resolve_graph(args)
-    e = s.energy()
+    g = _resolve_graph(args)
     case = theorem_hypotheses(g.k, g.p, g.m)
+    # in case A the spectrum and the bounds share one norm-form solve
+    rep = case_a_rep(g.k, g.p, g.m) if case in (HypothesisCase.K3_CASE_A,
+                                                HypothesisCase.K4_CASE_A) else None
+    e = spectrum_of(g, rep).energy()
     lower = upper = exact = None
-    if case in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
-        lower, upper = energy_bounds(g.k, g.p, g.m)
+    if rep is not None:
+        lower, upper = energy_bounds(g.k, g.p, g.m, rep)
     elif case in (HypothesisCase.K3_CASE_B, HypothesisCase.K4_CASE_B) and g.variant in (
             Variant.GP, Variant.GPSUM):
         exact = semiprimitive_energy(g.k, g.p, g.m)
@@ -363,7 +366,8 @@ def cmd_energy(args) -> tuple[str, int]:
 
 
 def cmd_equienergetic(args) -> tuple[str, int]:
-    g, s = _resolve_graph(args)
+    g = _resolve_graph(args)
+    s = spectrum_of(g)
     if g.variant is not Variant.GP:
         raise GPSpecError("equienergy decision is defined on the GP variant")
     report = is_complementary_equienergetic(s)

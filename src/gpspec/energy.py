@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import dioph
 from .errors import OutOfScope
 from .ff import HypothesisCase
-from .spectra import Spectrum, _exact_div, complement_spectrum, require_in_scope
+from .spectra import Spectrum, _exact_div, case_a_rep, complement_spectrum, require_in_scope
 
 
 @dataclass(frozen=True)
@@ -57,27 +57,28 @@ def semiprimitive_energy(k: int, p: int, m: int) -> int:
     return _exact_div(num, den)
 
 
-def energy_bounds(k: int, p: int, m: int) -> tuple[Fraction, Fraction]:
+def energy_bounds(k: int, p: int, m: int,
+                  rep: dioph.QFRep | None = None) -> tuple[Fraction, Fraction]:
     """Exact lower/upper energy bounds in the case p = 1 (mod k).
 
     k=3:  n(1 + |2a*r + 1|/3)  <=  E  <=  n(1 + (2/3)(|a|r + 1) + 3|b|r)
     k=4:  n(r^2 + 1)           <=  E  <=  n(r^2 + 1 + (|c| + 2|d|) r)
 
     with r the k-th root of q and (a, b) resp. (c, d) the quadratic-form
-    pair of the spectrum formulas.
+    pair of the spectrum formulas: rep when the caller passes the pair its
+    spectrum used (``spectra.case_a_rep``), else solved here.
     """
     case = require_in_scope(k, p, m)
     if case not in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
         raise OutOfScope(f"(k={k}, p={p}) has no bound form (semiprimitive case is exact)")
     q = p ** m
     n = (q - 1) // k
+    rep = case_a_rep(k, p, m, rep)
     if k == 3:
-        rep = dioph.solve_ab(p, m // 3)
         r = p ** (m // 3)
         lower = n * (1 + Fraction(abs(2 * rep.x * r + 1), 3))
         upper = n * (1 + Fraction(2, 3) * (abs(rep.x) * r + 1) + 3 * abs(rep.y) * r)
     else:
-        rep = dioph.solve_cd(p, m // 4)
         r = p ** (m // 4)
         lower = Fraction(n * (r * r + 1))
         upper = Fraction(n * (r * r + 1 + (abs(rep.x) + 2 * abs(rep.y)) * r))

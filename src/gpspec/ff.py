@@ -22,6 +22,9 @@ from .errors import BadInput, BadK, CapExceeded, NonPrime
 #: Largest field order constructed explicitly (elements, tables).
 FIELD_CAP = 1 << 20
 
+#: Powers per matrix product when ``FieldSpec.exp_table`` is built (a power of two).
+_EXP_BLOCK = 4096
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -188,7 +191,11 @@ class FieldSpec:
     Immutable after construction; all operations are pure, so instances are
     safe to share between threads.  Elements are ints in [0, q) encoding
     base-p coefficient vectors.  The exponential and trace tables are built
-    lazily, once, on first use.
+    lazily, once, on first use, and both from F_p-linearity: ``exp_table``
+    applies multiplication by the generator, a matrix on digit vectors, to
+    blocks of powers with numpy; ``trace_table`` extends the traces of the
+    basis x^i one digit position at a time.  ``mul`` alone knows the modulus:
+    it supplies the matrix's columns and the traces of the basis.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], generator: int):
@@ -261,12 +268,34 @@ class FieldSpec:
 
     @property
     def exp_table(self) -> list[int]:
-        """exp_table[i] = generator**i for i in [0, q-1)."""
+        """exp_table[i] = generator**i for i in [0, q-1).
+
+        Multiplying by the generator is an F_p-linear map M on digit
+        vectors; column j of M is the digit vector of g * x^j, from ``mul``.
+        Rows of a block of consecutive powers times (M^B)^T give the next B
+        powers, so after a first block built by doubling, the table grows
+        one block of _EXP_BLOCK powers per matrix product.
+        """
         if self._exp is None:
-            exp = [1] * (self.q - 1)
-            g = self.generator
-            for i in range(1, self.q - 1):
-                exp[i] = self.mul(exp[i - 1], g)
+            import numpy as np
+
+            p, m, n = self.p, self.m, self.q - 1
+            step = np.array([self.coeffs(self.mul(self.generator, p ** j)) for j in range(m)],
+                            dtype=np.int64).T
+            # Entries of both factors lie in [0, p), so each entry of a product
+            # sums m terms below (p-1)^2: m * (p-1)^2 < 2^63 for every
+            # q <= FIELD_CAP, and int64 never wraps.
+            block = np.zeros((1, m), dtype=np.int64)
+            block[0, 0] = 1
+            while len(block) < min(n, _EXP_BLOCK):
+                block = np.concatenate([block, block @ step.T % p])
+                step = step @ step % p
+            weights = p ** np.arange(m, dtype=np.int64)
+            exp = (block @ weights).tolist()
+            while len(exp) < n:
+                block = block @ step.T % p
+                exp += (block @ weights).tolist()
+            del exp[n:]
             self._exp = exp
         return self._exp
 

@@ -6,10 +6,12 @@ from additive character sums or a dense symmetric eigensolver, and code
 weights from trace evaluations.  Agreement of these routes with the closed
 formulas is the central anti-regression property of the repository.
 
-The dense eigensolver is hybrid, following common practice: a hand-rolled
-cyclic Jacobi for small matrices (easy correctness argument, used as a
-second numeric route), LAPACK via numpy.linalg.eigvalsh above the size
-threshold where pure-Python Jacobi gets slow.
+The dense eigensolver is hybrid: a hand-rolled Jacobi for matrices up to
+JACOBI_MAX_N (an easy correctness argument and a second numeric route that
+never calls LAPACK), numpy.linalg.eigvalsh above.  The Jacobi sweeps in
+round-robin (Brent-Luk) order: each sweep is n-1 rounds (n rounded up to
+even) of n/2 disjoint index pairs, and one round rotates all of its pairs
+at once with vectorized row and column updates.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInput, BadK, CapExceeded, NoConvergence, NonIntegral, OutOfScope
-from .ff import make_field, kth_power_residues
+from .ff import FieldSpec, make_field, kth_power_residues
 from .spectra import GraphSpec, Spectrum, Variant
 
 #: Default caps; the CLI's --dense-cap and --char-cap default to them.  The code
@@ -101,15 +103,23 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
 # Character sums
 # ---------------------------------------------------------------------------
 
+def _coset_trace_counts(fld: FieldSpec, k: int) -> list[list[int]]:
+    """For each j < k, how often each t in [0, p) is Tr(w^(j + k*i)) over
+    i < (q-1)/k, w the generator: the trace tallies of the coset w^j R_k."""
+    traces = np.asarray(fld.trace_table)[np.asarray(fld.exp_table)]
+    return [np.bincount(traces[j::k], minlength=fld.p).tolist() for j in range(k)]
+
+
 def char_sum_spectrum(g: GraphSpec, char_cap: int = CHAR_CAP) -> Spectrum:
     """Eigenvalues of GP(k, q) as additive character sums over R_k.
 
     For gamma != 0,  lambda_gamma = sum over x in R_k of e^(2 pi i Tr(gamma x)/p),
     and lambda_0 = |R_k| = n is the principal eigenvalue.  Multiplying gamma
     by a k-th power permutes R_k, so lambda_gamma depends only on the coset
-    of dlog(gamma) mod k; one compensated sum per coset covers all q
-    characters, each coset accounting for n of them.  Every sum must round
-    to an integer with residual below 1e-6.
+    of dlog(gamma) mod k; one sum per coset covers all q characters, each
+    coset accounting for n of them.  A coset's sum is exact counts of its
+    traces times the p values of the character, added with compensation.
+    Every sum must round to an integer with residual below 1e-6.
     """
     if g.variant is not Variant.GP:
         raise BadInput("char_sum_spectrum expects the GP variant")
@@ -118,21 +128,14 @@ def char_sum_spectrum(g: GraphSpec, char_cap: int = CHAR_CAP) -> Spectrum:
         raise CapExceeded(f"q = {q} exceeds the character cap {char_cap}")
     if (q - 1) % g.k != 0:
         raise BadK(f"k = {g.k} does not divide q - 1 = {q - 1}")
-    fld = make_field(g.p, g.m)
     n = (q - 1) // g.k
-
-    exp_table = fld.exp_table
-    trace_table = fld.trace_table
-    tr_of_exp = [trace_table[e] for e in exp_table]
     cos_t = [math.cos(2 * math.pi * t / g.p) for t in range(g.p)]
     sin_t = [math.sin(2 * math.pi * t / g.p) for t in range(g.p)]
 
     pairs = [(n, 1)]
-    for j in range(g.k):
-        # fixed accumulation order: i ascending over the residue enumeration
-        traces = [tr_of_exp[j + g.k * i] for i in range(n)]
-        re = math.fsum(cos_t[t] for t in traces)
-        im = math.fsum(sin_t[t] for t in traces)
+    for counts in _coset_trace_counts(make_field(g.p, g.m), g.k):
+        re = math.fsum(c * cos_t[t] for t, c in enumerate(counts))
+        im = math.fsum(c * sin_t[t] for t, c in enumerate(counts))
         val = round(re)
         residual = max(abs(im), abs(re - val))
         if residual >= 1e-6:
@@ -154,36 +157,56 @@ def char_sum_eigenvalue(g: GraphSpec, gamma: int) -> complex:
 # Dense symmetric eigensolver
 # ---------------------------------------------------------------------------
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep's rounds (i, j) of disjoint pairs i < j that cover every pair
+    of range(n) once: slots 0..n-1 (n rounded up to even) sit in two rows
+    facing each other, slot 0 stays put and the others move one place round
+    per round; a pair with the padding slot n (n odd) is dropped."""
+    size = n + n % 2
+    half = size // 2
+    slots = np.arange(size)
+    rounds = []
+    for _ in range(size - 1):
+        top, bottom = slots[:half], slots[:half - 1:-1]
+        low, high = np.minimum(top, bottom), np.maximum(top, bottom)
+        rounds.append((low[high < n], high[high < n]))
+        slots = np.concatenate(([0], np.roll(slots[1:], 1)))
+    return rounds
+
+
 def _jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
                         max_sweeps: int = _JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Cyclic Jacobi: rotate away every off-diagonal pair per sweep until the
-    off-diagonal Frobenius norm drops below off_tol."""
+    """Jacobi in round-robin order: each round rotates away its disjoint
+    off-diagonal pairs at once, until the off-diagonal Frobenius norm drops
+    below off_tol at the start of a sweep."""
     a = np.array(a, dtype=np.float64)
     n = a.shape[0]
     if n == 1:
         return a[0].copy()
     off_mask = ~np.eye(n, dtype=bool)
+    rounds = _round_robin(n)
     for _ in range(max_sweeps):
         # summed from the off-diagonal entries themselves: the difference
         # of two large sums would bottom out at cancellation noise
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
         if off < off_tol:
             return np.sort(np.diag(a))
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = a[i, j]
-                if abs(aij) < off_tol / (4 * n * n):
-                    continue
-                tau = (a[j, j] - a[i, i]) / (2.0 * aij)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau else 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rows = a[[i, j], :]
-                a[i, :] = c * rows[0] - s * rows[1]
-                a[j, :] = s * rows[0] + c * rows[1]
-                cols = a[:, [i, j]]
-                a[:, i] = c * cols[:, 0] - s * cols[:, 1]
-                a[:, j] = s * cols[:, 0] + c * cols[:, 1]
+        for i, j in rounds:
+            keep = np.abs(a[i, j]) >= off_tol / (4 * n * n)
+            i, j = i[keep], j[keep]
+            if not len(i):
+                continue
+            # disjoint pairs: each rotation touches only rows and columns i, j of its own pair
+            tau = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
+            t = np.where(tau == 0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            rows_i, rows_j = a[i, :], a[j, :]
+            a[i, :] = c[:, None] * rows_i - s[:, None] * rows_j
+            a[j, :] = s[:, None] * rows_i + c[:, None] * rows_j
+            cols_i, cols_j = a[:, i], a[:, j]
+            a[:, i] = cols_i * c - cols_j * s
+            a[:, j] = cols_i * s + cols_j * c
     raise NoConvergence(max_sweeps)
 
 
@@ -262,14 +285,10 @@ def code_weight_distribution(k: int, p: int, m: int,
         raise CapExceeded(f"q = {q} exceeds the codeword cap {codeword_cap}")
     if ((q - 1) // (p - 1)) % k != 0:
         raise OutOfScope(f"{k} does not divide (q-1)/(p-1) = {(q - 1) // (p - 1)}")
-    fld = make_field(p, m)
     n = (q - 1) // k
-    trace_table = fld.trace_table
-    nonzero = [trace_table[e] != 0 for e in fld.exp_table]
     tally: Counter[int] = Counter({0: 1})
-    for j in range(k):
-        w = sum(1 for i in range(n) if nonzero[j + k * i])
-        tally[w] += n
+    for counts in _coset_trace_counts(make_field(p, m), k):
+        tally[n - counts[0]] += n
     return WeightDistribution(tuple(sorted(tally.items())), q)
 
 

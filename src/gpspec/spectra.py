@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import dioph
-from .errors import HasLoops, NonIntegralEigenvalue, OutOfScope
+from .errors import BadInput, HasLoops, NonIntegralEigenvalue, OutOfScope
 from .ff import HypothesisCase, out_of_scope_reason, theorem_hypotheses
 
 
@@ -106,6 +106,20 @@ def require_in_scope(k: int, p: int, m: int) -> HypothesisCase:
     return case
 
 
+def case_a_rep(k: int, p: int, m: int, rep: dioph.QFRep | None = None) -> dioph.QFRep:
+    """The norm-form pair of the case A formulas for q = p^m: (a, b) with
+    4 q^(1/3) = a^2 + 27 b^2 (k = 3), or (c, d) with q^(1/2) = c^2 + 4 d^2
+    (k = 4).  A pair the caller already holds is checked to have that form
+    and target and returned as it is, so the solve runs once per graph."""
+    if rep is None:
+        return dioph.solve_ab(p, m // 3) if k == 3 else dioph.solve_cd(p, m // 4)
+    form, target = (dioph.QFForm.X2_27Y2, 4 * p ** (m // 3)) if k == 3 else \
+        (dioph.QFForm.X2_4Y2, p ** (m // 2))
+    if rep.form is not form or rep.target != target:
+        raise BadInput(f"representation {rep} does not belong to k={k}, q={p}^{m}")
+    return rep
+
+
 def k3_case_a_eigenvalues(r: int, a: int, b: int) -> tuple[int, int, int]:
     """Non-principal eigenvalues of the k=3, p = 1 (mod 3) branch, in formula
     order, where r = q^(1/3) and 4r = a^2 + 27 b^2."""
@@ -144,8 +158,9 @@ def k4_case_a_spectrum(r: int, c: int, d: int) -> Spectrum:
     return Spectrum.from_pairs([(n, 1)] + [(lam, n) for lam in lams], n, q)
 
 
-def gp_spectrum(g: GraphSpec) -> Spectrum:
-    """Exact spectrum of GP(k, q) by the closed formulas."""
+def gp_spectrum(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
+    """Exact spectrum of GP(k, q) by the closed formulas; in case A from rep,
+    the pair of ``case_a_rep``, when the caller has solved it already."""
     if g.variant is not Variant.GP:
         raise ValueError("gp_spectrum expects the GP variant")
     case = require_in_scope(g.k, g.p, g.m)
@@ -153,10 +168,10 @@ def gp_spectrum(g: GraphSpec) -> Spectrum:
     n = _exact_div(q - 1, g.k)
 
     if case is HypothesisCase.K3_CASE_A:
-        rep = dioph.solve_ab(g.p, g.m // 3)
+        rep = case_a_rep(g.k, g.p, g.m, rep)
         return k3_case_a_spectrum(g.p ** (g.m // 3), rep.x, rep.y)
     if case is HypothesisCase.K4_CASE_A:
-        rep = dioph.solve_cd(g.p, g.m // 4)
+        rep = case_a_rep(g.k, g.p, g.m, rep)
         return k4_case_a_spectrum(g.p ** (g.m // 4), rep.x, rep.y)
 
     # semiprimitive branches: strongly regular, three distinct eigenvalues
@@ -174,7 +189,7 @@ def gp_spectrum(g: GraphSpec) -> Spectrum:
     return Spectrum.from_pairs([(n, 1)] + pairs, n, q)
 
 
-def gpsum_spectrum(g: GraphSpec) -> Spectrum:
+def gpsum_spectrum(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
     """Spectrum of the sum graph GP+(k, q).
 
     q even: identical to GP(k, q).  q odd: the principal survives with
@@ -183,7 +198,7 @@ def gpsum_spectrum(g: GraphSpec) -> Spectrum:
     """
     if g.variant is not Variant.GPSUM:
         raise ValueError("gpsum_spectrum expects the GPSUM variant")
-    base = gp_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GP))
+    base = gp_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GP), rep)
     if g.q % 2 == 0:
         return base
     n = base.principal
@@ -208,12 +223,13 @@ def complement_spectrum(s: Spectrum) -> Spectrum:
     return Spectrum.from_pairs(pairs, n_bar, s.order)
 
 
-def spectrum_of(g: GraphSpec) -> Spectrum:
-    """Closed-form spectrum of any variant (complements via the shift rule)."""
+def spectrum_of(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
+    """Closed-form spectrum of any variant (complements via the shift rule);
+    rep as for ``gp_spectrum``."""
     if g.variant is Variant.GP:
-        return gp_spectrum(g)
+        return gp_spectrum(g, rep)
     if g.variant is Variant.GPSUM:
-        return gpsum_spectrum(g)
+        return gpsum_spectrum(g, rep)
     if g.variant is Variant.GP_COMPLEMENT:
-        return complement_spectrum(gp_spectrum(GraphSpec(g.k, g.p, g.m)))
-    return complement_spectrum(gpsum_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GPSUM)))
+        return complement_spectrum(gp_spectrum(GraphSpec(g.k, g.p, g.m), rep))
+    return complement_spectrum(gpsum_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GPSUM), rep))

@@ -8,6 +8,8 @@ the package routes they check.
   base solve and pair powers in ``gpspec.dioph``.
 - ``power_components`` evaluates a pair power by binomial expansion and
   referees the pair powers and level steps of ``gpspec.lift``.
+- ``iterated_exp_table`` multiplies by the generator q-2 times with
+  ``FieldSpec.mul`` and referees the block-built ``FieldSpec.exp_table``.
 """
 from __future__ import annotations
 
@@ -74,3 +76,12 @@ def power_components(x: int, y: int, ell: int, coeff: int) -> tuple[int, int]:
     Y = sum(math.comb(ell, 2 * r + 1) * x ** (ell - 2 * r - 1) * y ** (2 * r + 1) * (-coeff) ** r
             for r in range((ell + 1) // 2))
     return X, Y
+
+
+def iterated_exp_table(f) -> list[int]:
+    """[g^0, g^1, ..., g^(q-2)] for the generator g of the field model f, one
+    ``mul`` per power."""
+    exp = [1] * (f.q - 1)
+    for i in range(1, f.q - 1):
+        exp[i] = f.mul(exp[i - 1], f.generator)
+    return exp

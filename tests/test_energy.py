@@ -7,7 +7,7 @@ from conftest import in_scope_instances
 from gpspec.dioph import QFForm, QFRep, solve_ab, solve_cd
 from gpspec.energy import (corollary_condition, energy, energy_bounds,
                            is_complementary_equienergetic, semiprimitive_energy)
-from gpspec.errors import OutOfScope
+from gpspec.errors import BadInput, OutOfScope
 from gpspec.ff import HypothesisCase, is_semiprimitive, theorem_hypotheses
 from gpspec.spectra import GraphSpec, Spectrum, Variant, gp_spectrum, gpsum_spectrum
 
@@ -63,6 +63,14 @@ class TestEnergyBounds:
     def test_rejects_semiprimitive(self):
         with pytest.raises(OutOfScope):
             energy_bounds(3, 2, 4)
+
+    def test_given_pair_is_the_solved_one_or_rejected(self):
+        assert energy_bounds(3, 7, 6, solve_ab(7, 2)) == energy_bounds(3, 7, 6)
+        assert energy_bounds(4, 5, 8, solve_cd(5, 2)) == energy_bounds(4, 5, 8)
+        for k, p, m, rep in [(3, 7, 6, solve_ab(7, 1)), (4, 5, 8, solve_cd(5, 1)),
+                             (3, 7, 3, solve_cd(5, 1))]:
+            with pytest.raises(BadInput):
+                energy_bounds(k, p, m, rep)
 
     def test_sandwich_on_every_case_a_instance(self):
         for (k, p, m) in in_scope_instances(10 ** 6):

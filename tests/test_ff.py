@@ -8,6 +8,7 @@ from conftest import in_scope_instances, primes_upto
 from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime
 from gpspec.ff import (HypothesisCase, is_prime, is_semiprimitive, kth_power_residues,
                        make_field, theorem_hypotheses, trace)
+from referees import iterated_exp_table
 
 
 def _poly_divides(g, f, p):
@@ -153,6 +154,30 @@ class TestTrace:
     def test_rejects_foreign_element(self):
         with pytest.raises(BadInput):
             trace(make_field(2, 4), 16)
+
+
+def _prime_powers_upto(n):
+    return [(p, m) for p in primes_upto(n) for m in range(1, n.bit_length()) if p ** m <= n]
+
+
+class TestExpTable:
+    def test_matches_iterated_mul_to_4096(self):
+        for p, m in _prime_powers_upto(4096):
+            f = make_field(p, m)
+            assert f.exp_table == iterated_exp_table(f), (p, m)
+
+    @pytest.mark.parametrize("p,m", [(2, 16), (7, 6), (3, 10)])
+    def test_matches_iterated_mul_on_large_fields(self, p, m):
+        f = make_field(p, m)
+        assert f.exp_table == iterated_exp_table(f)
+
+    def test_int64_headroom_near_field_cap(self):
+        f = make_field(1021, 2)
+        exp = f.exp_table
+        assert sorted(exp) == list(range(1, f.q))
+        rng = random.Random(1021)
+        for i in rng.sample(range(f.q - 2), 2000):
+            assert exp[i + 1] == f.mul(exp[i], f.generator), i
 
 
 class TestPowerResidues:

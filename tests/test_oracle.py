@@ -1,13 +1,15 @@
 """Brute-force oracles: graph construction, both eigensolvers, code weights."""
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import in_scope_instances
 from gpspec.errors import BadInput, BadK, CapExceeded, NonIntegral, OutOfScope
 from gpspec.ff import kth_power_residues, make_field
-from gpspec.oracle import (DenseGraph, build_graph, char_sum_eigenvalue, char_sum_spectrum,
-                           code_weight_distribution, dense_eigenvalues, dense_spectrum,
-                           weight_eigenvalue_check)
+from gpspec.oracle import (JACOBI_MAX_N, DenseGraph, _round_robin, build_graph,
+                           char_sum_eigenvalue, char_sum_spectrum, code_weight_distribution,
+                           dense_eigenvalues, dense_spectrum, weight_eigenvalue_check)
 from gpspec.spectra import GraphSpec, Variant, gp_spectrum, gpsum_spectrum
 
 
@@ -128,11 +130,23 @@ class TestDenseSpectrum:
         assert dense_spectrum(d).entries == ((3, 1), (-1, 3))
 
     def test_jacobi_agrees_with_lapack(self):
-        d = build_graph(GraphSpec(3, 5, 2))
-        jac = dense_eigenvalues(d, engine="jacobi")
-        lap = dense_eigenvalues(d, engine="lapack")
-        assert np.allclose(jac, lap, atol=1e-8)
-        assert dense_spectrum(d, engine="jacobi") == dense_spectrum(d, engine="lapack")
+        """Every in-scope graph small enough for the Jacobi under engine="auto"."""
+        for (k, p, m) in in_scope_instances(JACOBI_MAX_N):
+            for variant in (Variant.GP, Variant.GPSUM, Variant.GP_COMPLEMENT):
+                d = build_graph(GraphSpec(k, p, m, variant))
+                jac = dense_eigenvalues(d, engine="jacobi")
+                lap = dense_eigenvalues(d, engine="lapack")
+                assert np.allclose(jac, lap, rtol=0, atol=1e-8), (k, p, m, variant)
+                assert dense_spectrum(d, engine="jacobi") == dense_spectrum(d, engine="lapack")
+
+    @pytest.mark.parametrize("n", range(1, 131))
+    def test_round_robin_covers_every_pair_once(self, n):
+        seen = []
+        for i, j in _round_robin(n):
+            assert len(set(i.tolist()) | set(j.tolist())) == 2 * len(i)   # disjoint pairs
+            seen += zip(i.tolist(), j.tolist())
+        assert len(_round_robin(n)) == n - 1 + n % 2
+        assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
     def test_gp_3_16_both_engines(self):
         d = build_graph(GraphSpec(3, 2, 4))
