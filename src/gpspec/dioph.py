@@ -96,11 +96,12 @@ def _base(n: int, k: int) -> tuple[int, int]:
     return u, v
 
 
-def _k3_pair(p: int, r: int) -> tuple[int, int]:
-    """(a, b) with 4 p^r = a^2 + 27 b^2, a = 1 (mod 3), b >= 0: of pi^r =
-    U + V sqrt(-3) = (X + Y sqrt(-3))/2 and its multiples by the cube roots
-    of unity, exactly one has 3 | Y (3 does not divide U), giving (X, Y/3)."""
-    U, V = pair_pow(_base(p, 3), r, 3)
+def _k3_pair(p: int, power: tuple[int, int]) -> tuple[int, int]:
+    """(a, b) with 4 p^r = a^2 + 27 b^2, a = 1 (mod 3), b >= 0, from the
+    base power pi^r = U + V sqrt(-3) = (X + Y sqrt(-3))/2: of it and its
+    multiples by the cube roots of unity, exactly one has 3 | Y (3 does not
+    divide U), giving (X, Y/3)."""
+    U, V = power
     for X, Y in ((2 * U, 2 * V), (-U - 3 * V, U - V), (-U + 3 * V, -U - V)):
         if Y % 3 == 0:
             return (X if X % 3 == 1 else -X), abs(Y) // 3
@@ -120,7 +121,7 @@ def solve_ab(p: int, r: int) -> QFRep:
     _require(p, 3)
     if r < 1:
         raise BadInput(f"r = {r} must be >= 1")
-    return QFRep(QFForm.X2_27Y2, 4 * p ** r, *_k3_pair(p, r))
+    return QFRep(QFForm.X2_27Y2, 4 * p ** r, *_k3_pair(p, pair_pow(_base(p, 3), r, 3)))
 
 
 def solve_cd(p: int, t: int) -> QFRep:
@@ -140,15 +141,18 @@ def minimal_t(p: int, t_cap: int = T_CAP) -> tuple[int, int, int]:
     """Smallest t <= t_cap such that p^t = x^2 + 27*y^2 with gcd(x, p) = 1.
 
     It is the first t whose pair (a, b) of 4 p^t is even: (x, y) = (+-a/2,
-    b/2) with x = 1 (mod 3).  Raises NotFound(t_cap) past the cap; for
-    p = 1 (mod 3) the minimal t is 1 or 3, so any cap >= 3 succeeds.
+    b/2) with x = 1 (mod 3).  One base solve; each next exponent is one
+    more multiplication by the base.  Raises NotFound(t_cap) past the cap;
+    for p = 1 (mod 3) the minimal t is 1 or 3, so any cap >= 3 succeeds.
     """
     _require(p, 3)
+    base = power = _base(p, 3)
     for t in range(1, t_cap + 1):
-        a, b = _k3_pair(p, t)
+        a, b = _k3_pair(p, power)
         if a % 2 == 0 and b % 2 == 0:
             x = a // 2
             return t, (x if x % 3 == 1 else -x), b // 2
+        power = mul_pair(power, base, 3)
     raise NotFound(t_cap)
 
 

@@ -130,13 +130,9 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: x^(p^m) = x mod f, and gcd(x^(p^(m/l)) - x, f) = 1
-    for every prime l dividing m."""
+    """Rabin test of a monic f of degree m >= 2: x^(p^m) = x mod f, and
+    gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m."""
     m = len(f) - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
     x = [0, 1]
     xq = _poly_powmod(x, p ** m, f, p)
     if _trim([(c1 - c2) % p for c1, c2 in _pad(xq, x)]):
@@ -253,17 +249,6 @@ class FieldSpec:
             e >>= 1
         return r
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise BadInput("zero has no multiplicative order")
-        n = self.q - 1
-        order = n
-        for r in prime_factors(n):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
-
     # -- tables ---------------------------------------------------------------
 
     @property
@@ -319,11 +304,11 @@ def _make_field_cached(p: int, m: int) -> FieldSpec:
     modulus = _smallest_irreducible(p, m)
     q = p ** m
     probe = FieldSpec(p, m, modulus, 1)
-    generator = 1  # only q = 2 leaves the scan below empty
-    for cand in range(2, q):
-        if probe.element_order(cand) == q - 1:
-            generator = cand
-            break
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+    # For m > 1 the codes below p are the constants of F_p, of order dividing
+    # p - 1 < q - 1; only q = 2 leaves no candidate.
+    candidates = range(p if m > 1 else 2, q)
+    generator = next((g for g in candidates if all(probe.pow(g, e) != 1 for e in cofactors)), 1)
     return FieldSpec(p, m, modulus, generator)
 
 
@@ -332,7 +317,8 @@ def make_field(p: int, m: int, cap: int = FIELD_CAP) -> FieldSpec:
 
     Modulus: monic irreducible of degree m with lexicographically smallest
     coefficients (by base-p encoding); for m=1 the convention "x - 0" is
-    used.  Generator: smallest element code of multiplicative order q-1.
+    used.  Generator: smallest element code of multiplicative order q-1,
+    the first g with g^((q-1)/r) != 1 for every prime r dividing q-1.
     """
     if not is_prime(p):
         raise NonPrime(f"p = {p} is not prime")
@@ -362,9 +348,7 @@ def kth_power_residues(f: FieldSpec, k: int) -> frozenset[int]:
         raise BadInput(f"k = {k} must be positive")
     if (f.q - 1) % k != 0:
         raise BadK(f"k = {k} does not divide q - 1 = {f.q - 1}")
-    exp = f.exp_table
-    n = (f.q - 1) // k
-    return frozenset(exp[(k * j) % (f.q - 1)] for j in range(n))
+    return frozenset(f.exp_table[::k])
 
 
 def is_semiprimitive(k: int, p: int) -> bool:
@@ -408,6 +392,4 @@ def out_of_scope_reason(k: int, p: int, m: int) -> str | None:
         return "q = 9 is excluded for k = 4"
     if ((q - 1) // (p - 1)) % k != 0:
         return f"{k} does not divide (q-1)/(p-1) = {(q - 1) // (p - 1)}"
-    if p % k == 0:
-        return f"p = {p} divides k = {k}"  # unreachable: divisibility fails first
     return None

@@ -142,7 +142,8 @@ def _family_base(p: int, k: int, t: int | None, s: int
     if k == 3:
         return k3_base_pairs(p, s, t)
     check_k4_offsets(t, s)
-    return 1, derived_cd(p, 1), (1, 0)
+    rep = dioph.solve_cd(p, 1)
+    return 1, (rep.x, rep.y), (1, 0)
 
 
 def level_exponent(p: int, k: int, ell: int, t: int | None = None, s: int = 0) -> int:

@@ -10,6 +10,10 @@ the package routes they check.
   referees the pair powers and level steps of ``gpspec.lift``.
 - ``iterated_exp_table`` multiplies by the generator q-2 times with
   ``FieldSpec.mul`` and referees the block-built ``FieldSpec.exp_table``.
+- ``scan_generator`` computes the full multiplicative order of every code
+  from 2 up with ``FieldSpec.pow`` and referees the generator search of
+  ``gpspec.ff.make_field``, which skips the constants and stops each
+  candidate at its first failed primitivity test.
 """
 from __future__ import annotations
 
@@ -85,3 +89,18 @@ def iterated_exp_table(f) -> list[int]:
     for i in range(1, f.q - 1):
         exp[i] = f.mul(exp[i - 1], f.generator)
     return exp
+
+
+def scan_generator(f) -> int:
+    """Smallest code g >= 2 of multiplicative order q-1 in the field model f
+    (1 for q = 2), each order found by dividing q-1 down prime by prime."""
+    n = f.q - 1
+    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, math.isqrt(r) + 1))]
+    for g in range(2, f.q):
+        order = n
+        for r in primes:
+            while order % r == 0 and f.pow(g, order // r) == 1:
+                order //= r
+        if order == n:
+            return g
+    return 1

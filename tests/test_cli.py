@@ -493,6 +493,29 @@ class TestLiftRoute:
         assert err == f"error: {message}\n"
 
 
+class TestBaseSolves:
+    """A family's base pairs cost one Cornacchia solve each (the minimal
+    exponent's included), and a spectrum one more."""
+
+    @pytest.mark.parametrize("argv,most", [
+        (["spectrum", "-k", "3", "-p", "7", "-s", "1", "--lift", "2"], 3),
+        (["spectrum", "-k", "3", "-p", "13", "--lift", "2"], 2),
+        (["spectrum", "-k", "4", "-p", "5", "--lift", "2"], 2),
+        (["spectrum", "-k", "3", "-p", "7", "-m", "9"], 1),
+        (["lift", "-k", "3", "-p", "7", "-s", "1", "--ell-max", "5"], 2),
+        (["family", "-k", "3", "-p", "7", "-s", "2", "--ell-max", "5"], 2),
+        (["tables"], 6),
+    ])
+    def test_solve_count(self, argv, most, capsys, monkeypatch):
+        from gpspec import dioph
+
+        calls = []
+        base = dioph._base
+        monkeypatch.setattr(dioph, "_base", lambda *a: calls.append(a) or base(*a))
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0 and 0 < len(calls) <= most, calls
+
+
 def _decimal(n: int) -> str:
     """str(n) past the interpreter's int/str digit limit."""
     limit = sys.get_int_max_str_digits()

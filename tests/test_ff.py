@@ -8,7 +8,7 @@ from conftest import in_scope_instances, primes_upto
 from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime
 from gpspec.ff import (HypothesisCase, is_prime, is_semiprimitive, kth_power_residues,
                        make_field, theorem_hypotheses, trace)
-from referees import iterated_exp_table
+from referees import iterated_exp_table, scan_generator
 
 
 def _poly_divides(g, f, p):
@@ -91,6 +91,18 @@ class TestMakeField:
             seen.add(x)
             x = f.mul(x, f.generator)
         assert x == 1 and len(seen) == f.q - 1
+
+    def test_generator_matches_order_scan_to_4096(self):
+        fields = [(p, m) for p in primes_upto(4096) for m in range(1, 13) if p ** m <= 4096]
+        assert len(fields) == 604
+        for p, m in fields:
+            f = make_field(p, m)
+            assert f.generator == scan_generator(f), (p, m)
+
+    @pytest.mark.parametrize("p,m", [(547, 2), (1021, 2), (2, 18), (3, 12), (7, 6)])
+    def test_generator_matches_order_scan(self, p, m):
+        f = make_field(p, m)
+        assert f.generator == scan_generator(f)
 
     @pytest.mark.parametrize("p", [7, 13])
     def test_prime_field_is_integer_arithmetic_mod_p(self, p):
