@@ -4,15 +4,25 @@ Commands: spectrum | energy | equienergetic | lift | family | verify | tables.
 Eigenvalues, multiplicities and energies serialize as decimal strings (they
 outgrow fixed-width integers quickly under lifting), of any size: a command
 runs with the interpreter's int/str digit limit lifted, while the arguments
-are parsed under it.  The cache is an append-only line-delimited JSON file
-keyed by the canonical parameters of a command; a hit replays byte-identical
-output.
+are parsed under it.  The parser is built once per process.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input or
-out-of-scope parameters (with a diagnostic naming the violated hypothesis).
+The cache (--cache PATH) is an append-only file of JSON lines, one record
+{code, key, output} each.  A record's key holds the package version, the
+command and the parsed flags the command reads, so a result never replays
+across versions (entries of another version miss once).  A lookup searches
+the file's bytes for the key's text and decodes only the lines around a
+match; the first record with the key wins and replays byte-identical output,
+and a line that is truncated, foreign or not UTF-8 matches nothing.  A cache
+path that cannot be read or written (a directory, a file in a missing
+directory) exits 2 with nothing on stdout.
 
-Each subcommand declares only the flags it reads, so the cache key (the
-parsed arguments) holds only values that can change the output: spectrum,
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
+unusable cache path or out-of-scope parameters (with a diagnostic naming
+the violated hypothesis).
+
+Each subcommand declares only the flags it reads, so the cache key holds
+only values that can change the output (the oracle caps of spectrum without
+--verify and the --ell-max of lift --lift are checked but left out): spectrum,
 verify, energy and equienergetic take -k -p (-m | --lift) -t -s --variant,
 and spectrum and verify also --dense-cap --char-cap (spectrum --verify);
 lift takes -k -p -t -s (--lift | --ell-max), family -k -p -t -s --ell-max,
@@ -34,12 +44,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import lift, oracle
+from . import __version__, lift, oracle
 from .energy import (EnergyReport, energy_bounds, is_complementary_equienergetic,
                      semiprimitive_energy)
 from .errors import GPSpecError
@@ -250,34 +261,68 @@ def table_csv(which: int) -> str:
 # Cache
 # ---------------------------------------------------------------------------
 
+def _key_field(key: str) -> str:
+    """A record's key as its line spells it.  Inside a JSON string every '"'
+    is escaped, so in a line the cache wrote this text occurs only where the
+    record's key starts."""
+    return '"key": ' + json.dumps(key)
+
+
+def _record_line(key: str, output: str, code: int) -> bytes:
+    """One cache record: ``json.dumps`` of {code, key, output} with sorted
+    keys, spelled out around ``_key_field`` so that lookups search for the
+    text appends write."""
+    line = f'{{"code": {code:d}, {_key_field(key)}, "output": {json.dumps(output)}}}\n'
+    return line.encode("utf-8")
+
+
 def _cache_lookup(path: str, key: str) -> tuple[str, int] | None:
-    if not os.path.exists(path):
+    """(output, code) of the first record whose key is ``key``, else None.
+    The file is searched as bytes for the key's text, and only the line
+    around each match is decoded; a line that does not decode, is not a
+    record or holds another key is passed over."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            try:
-                rec = json.loads(line)
-            except ValueError:          # a blank, truncated or foreign line matches nothing
-                continue
-            if isinstance(rec, dict) and rec.get("key") == key:
-                return rec["output"], rec["code"]
+    needle = _key_field(key).encode("utf-8")
+    at = data.find(needle)
+    while at >= 0:
+        start = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at)
+        end = len(data) if end < 0 else end
+        try:
+            rec = json.loads(data[start:end].decode("utf-8"))
+        except ValueError:              # truncated, foreign or not UTF-8 (UnicodeDecodeError)
+            rec = None
+        if isinstance(rec, dict) and rec.get("key") == key:
+            return rec["output"], rec["code"]
+        at = data.find(needle, end)
     return None
 
 
 def _cache_append(path: str, key: str, output: str, code: int) -> None:
-    line = json.dumps({"key": key, "output": output, "code": code}, sort_keys=True) + "\n"
+    line = _record_line(key, output, code)
     with open(path, "ab+") as fh:
         if fh.tell():                   # end a truncated last line before appending
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
-                line = "\n" + line
-        fh.write(line.encode("utf-8"))
+                line = b"\n" + line
+        fh.write(line)
 
 
-def _cache_key(command: str, args: argparse.Namespace) -> str:
-    params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "cache") and v is not None}
-    params["command"] = command
+def _cache_key(args: argparse.Namespace) -> str:
+    """The package version, the command and the parsed flags it reads: not
+    --cache, nor the oracle caps of spectrum without --verify, nor the
+    ell_max of lift --lift (--lift sets the count)."""
+    unread = {"func", "cache"}
+    if not getattr(args, "verify", True):
+        unread |= {"dense_cap", "char_cap"}
+    if getattr(args, "lift", None) is not None:
+        unread.add("ell_max")
+    params = {k: v for k, v in vars(args).items() if k not in unread and v is not None}
+    params["version"] = __version__
     return json.dumps(params, sort_keys=True, default=str)
 
 
@@ -408,7 +453,10 @@ def _add_cap(sp, cap: str) -> None:
                     help=f"cap, at least {least} (env {_ENV_PREFIX}{cap.upper()}, default {default})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it holds no value read from the
+    environment (``_resolve_caps`` reads those on every call)."""
     parser = argparse.ArgumentParser(
         prog="gpspec",
         description="spectra, energies and equienergy of generalized Paley graphs (k = 3, 4)")
@@ -492,14 +540,21 @@ def _any_int_size():
         sys.set_int_max_str_digits(limit)
 
 
+def _error(message: str) -> int:
+    sys.stderr.write(f"error: {message}\n")
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     problem = _resolve_caps(args)
     if problem is not None:
-        sys.stderr.write(f"error: {problem}\n")
-        return 2
-    key = _cache_key(args.command, args)
-    hit = _cache_lookup(args.cache, key) if args.cache else None
+        return _error(problem)
+    key = _cache_key(args)
+    try:
+        hit = _cache_lookup(args.cache, key) if args.cache else None
+    except OSError as exc:
+        return _error(f"cannot read --cache {args.cache}: {exc.strerror or exc}")
     if hit is not None:
         sys.stdout.write(hit[0])
         return hit[1]
@@ -507,10 +562,12 @@ def main(argv=None) -> int:
         try:
             output, code = args.func(args)
         except (GPSpecError, ValueError) as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
+            return _error(str(exc))
     if args.cache:
-        _cache_append(args.cache, key, output, code)
+        try:
+            _cache_append(args.cache, key, output, code)
+        except OSError as exc:
+            return _error(f"cannot write --cache {args.cache}: {exc.strerror or exc}")
     sys.stdout.write(output)
     return code
 

@@ -12,6 +12,10 @@ never calls LAPACK), numpy.linalg.eigvalsh above.  The Jacobi sweeps in
 round-robin (Brent-Luk) order: each sweep is n-1 rounds (n rounded up to
 even) of n/2 disjoint index pairs, and one round rotates all of its pairs
 at once with vectorized row and column updates.
+
+numpy is imported inside the functions that use it, so importing this
+module (and with it ``gpspec`` and the CLI) does not load numpy; only an
+oracle call does.
 """
 from __future__ import annotations
 
@@ -19,8 +23,6 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BadInput, BadK, CapExceeded, NoConvergence, NonIntegral, OutOfScope
 from .ff import FieldSpec, make_field, kth_power_residues
@@ -44,6 +46,8 @@ class DenseGraph:
     """Explicit symmetric 0/1 adjacency matrix with loop bookkeeping."""
 
     def __init__(self, adjacency: np.ndarray):
+        import numpy as np
+
         adjacency = np.asarray(adjacency, dtype=np.uint8)
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
             raise BadInput("adjacency must be square")
@@ -56,7 +60,7 @@ class DenseGraph:
         self.loop_count = int(np.trace(adjacency))
 
     def row_sums(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1, dtype=np.int64)
+        return self.adjacency.sum(axis=1, dtype="int64")
 
     def degree(self) -> int:
         sums = self.row_sums()
@@ -68,6 +72,8 @@ class DenseGraph:
 def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
     """Materialize the graph: edge v~w iff w-v in R_k (GP) or v+w in R_k
     (sum graph); complement variants flip the off-diagonal bits."""
+    import numpy as np
+
     q = g.q
     if q > dense_cap:
         raise CapExceeded(f"q = {q} exceeds the dense cap {dense_cap}")
@@ -106,6 +112,8 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
 def _coset_trace_counts(fld: FieldSpec, k: int) -> list[list[int]]:
     """For each j < k, how often each t in [0, p) is Tr(w^(j + k*i)) over
     i < (q-1)/k, w the generator: the trace tallies of the coset w^j R_k."""
+    import numpy as np
+
     traces = np.asarray(fld.trace_table)[np.asarray(fld.exp_table)]
     return [np.bincount(traces[j::k], minlength=fld.p).tolist() for j in range(k)]
 
@@ -162,6 +170,8 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     of range(n) once: slots 0..n-1 (n rounded up to even) sit in two rows
     facing each other, slot 0 stays put and the others move one place round
     per round; a pair with the padding slot n (n odd) is dropped."""
+    import numpy as np
+
     size = n + n % 2
     half = size // 2
     slots = np.arange(size)
@@ -179,6 +189,8 @@ def _jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
     """Jacobi in round-robin order: each round rotates away its disjoint
     off-diagonal pairs at once, until the off-diagonal Frobenius norm drops
     below off_tol at the start of a sweep."""
+    import numpy as np
+
     a = np.array(a, dtype=np.float64)
     n = a.shape[0]
     if n == 1:
@@ -212,6 +224,8 @@ def _jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
 
 def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:
     """Raw (unrounded) eigenvalues, ascending.  engine: auto|jacobi|lapack."""
+    import numpy as np
+
     if engine == "auto":
         engine = "jacobi" if d.q <= JACOBI_MAX_N else "lapack"
     if engine == "jacobi":

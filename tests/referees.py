@@ -14,9 +14,13 @@ the package routes they check.
   from 2 up with ``FieldSpec.pow`` and referees the generator search of
   ``gpspec.ff.make_field``, which skips the constants and stops each
   candidate at its first failed primitivity test.
+- ``scan_cache`` decodes a cache file line by line with ``json.loads`` and
+  referees ``gpspec.cli._cache_lookup``, which searches the raw bytes for a
+  record's key text and decodes only the lines around its matches.
 """
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -104,3 +108,22 @@ def scan_generator(f) -> int:
         if order == n:
             return g
     return 1
+
+
+def scan_cache(path, key: str) -> tuple[str, int] | None:
+    """(output, code) of the first line of the cache file at ``path`` that
+    decodes as UTF-8 to a JSON object whose "key" is ``key``; lines end at
+    b"\\n", and a line that does not decode matches nothing."""
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+    except FileNotFoundError:
+        return None
+    for raw in lines:
+        try:
+            rec = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            continue
+        if isinstance(rec, dict) and rec.get("key") == key:
+            return rec["output"], rec["code"]
+    return None

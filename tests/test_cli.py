@@ -3,20 +3,25 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
+from gpspec import cli
 from gpspec.cli import (graph_from_dict, main, report_from_dict, report_to_dict,
                         spectrum_from_dict, spectrum_to_dict, table_csv, witness_from_dict,
                         witness_to_dict)
 from gpspec.energy import is_complementary_equienergetic
 from gpspec.family import find_equienergetic_family
 from gpspec.spectra import GraphSpec, Variant, gp_spectrum, gpsum_spectrum
+from referees import scan_cache
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -589,6 +594,91 @@ class TestCacheRobustness:
         assert second == first
         assert len(cache.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("args,env,value", [
+        (["spectrum", "-k", "4", "-p", "5", "-m", "4"], "GPSPEC_DENSE_CAP", "100"),
+        (["spectrum", "-k", "4", "-p", "5", "-m", "4"], "GPSPEC_CHAR_CAP", "100"),
+        (["lift", "-k", "4", "-p", "5", "--lift", "2"], "GPSPEC_ELL_MAX", "7"),
+    ])
+    def test_unread_value_keeps_one_entry(self, args, env, value, tmp_path, capsys, monkeypatch):
+        """Without --verify no oracle reads a cap, and --lift sets lift's count."""
+        cache = tmp_path / "cache.jsonl"
+        monkeypatch.delenv(env, raising=False)
+        _, first, _ = run_cli(args + ["--cache", str(cache)], capsys)
+        monkeypatch.setenv(env, value)
+        _, second, _ = run_cli(args + ["--cache", str(cache)], capsys)
+        assert second == first
+        assert len(cache.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("args,env", [
+        (["spectrum", "-k", "4", "-p", "5", "-m", "4"], "GPSPEC_DENSE_CAP"),
+        (["lift", "-k", "4", "-p", "5", "--lift", "2"], "GPSPEC_ELL_MAX"),
+    ])
+    def test_unread_value_still_checked(self, args, env, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(env, "-1")
+        code, out, err = run_cli(args + ["--cache", str(tmp_path / "cache.jsonl")], capsys)
+        assert code == 2 and out == "" and env in err
+
+    def test_read_caps_stay_in_the_key(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        args = ["spectrum", "-k", "3", "-p", "7", "-m", "3", "--verify", "--cache", str(cache)]
+        run_cli(args, capsys)
+        run_cli(args + ["--dense-cap", "100"], capsys)
+        assert len(cache.read_text().splitlines()) == 2
+
+    def test_other_version_misses_once(self, tmp_path, capsys, monkeypatch):
+        import gpspec.cli
+
+        cache = tmp_path / "cache.jsonl"
+        args = ["spectrum", "-k", "3", "-p", "7", "-m", "3", "--cache", str(cache)]
+        _, first, _ = run_cli(args, capsys)
+        monkeypatch.setattr(gpspec.cli, "__version__", "0.0.0+other")
+        for _ in range(2):                                  # a miss that appends, then a hit
+            _, out, _ = run_cli(args, capsys)
+            assert out == first
+            assert len(cache.read_text().splitlines()) == 2
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(["spectrum", "-k", "3", "-p", "7", "-m", "3",
+                                  "--cache", str(tmp_path)], capsys)
+        assert code == 2 and out == "" and f"--cache {tmp_path}" in err
+
+    def test_missing_directory_exits_2(self, tmp_path, capsys):
+        cache = tmp_path / "missing" / "cache.jsonl"
+        code, out, err = run_cli(["spectrum", "-k", "3", "-p", "7", "-m", "3",
+                                  "--cache", str(cache)], capsys)
+        assert code == 2 and out == "" and f"--cache {cache}" in err
+        assert not cache.parent.exists()
+
+    def test_line_not_utf8_is_a_miss(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        args = ["spectrum", "-k", "3", "-p", "7", "-m", "3", "--cache", str(cache)]
+        _, expected, _ = run_cli(args, capsys)
+        cache.write_bytes(b"\xff" + cache.read_bytes())   # the record's line no longer decodes
+        for _ in range(2):                                  # a miss that appends, then a hit
+            code, out, err = run_cli(args, capsys)
+            assert code == 0 and out == expected and err == ""
+            assert len(cache.read_bytes().splitlines()) == 2
+
+    def test_golden_replay_through_the_cache(self, tmp_path):
+        """Every golden argv that exits 0, run twice through one cache: the
+        miss appends one line, the hit none, and both print as recorded."""
+        from record_cli_golden import GOLDEN, run
+
+        # parses to the arguments of ``tables``, which comes first: a hit at once
+        alias = ["tables", "--table", "all"]
+        cache = tmp_path / "cache.jsonl"
+        entries = [e for e in map(json.loads, GOLDEN.read_text(encoding="utf-8").splitlines())
+                   if e["code"] == 0]
+        for replay in ("miss", "hit"):
+            for e in entries:
+                before = cache.read_bytes().count(b"\n") if cache.exists() else 0
+                got = run(e["argv"] + ["--cache", str(cache)])
+                grown = cache.read_bytes().count(b"\n") - before
+                where = (replay, e["argv"])
+                assert got["code"] == e["code"] and got["stdout_sha256"] == e["stdout_sha256"], where
+                assert grown == (replay == "miss" and e["argv"] != alias), where
+        assert cache.read_bytes().count(b"\n") == len(entries) - 1
+
 
 _FUZZ_COMMANDS = ["spectrum", "energy", "equienergetic", "lift", "family", "tables"]
 _FUZZ_FLAGS = ["-k", "-p", "-m", "-t", "-s", "--lift", "--variant", "--format", "--dense-cap",
@@ -619,3 +709,109 @@ def test_fuzz_exits_0_1_or_2(fuzz_cache, command, flags):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# Per-call cost: one parser per process, numpy only for the oracles, and a
+# cache lookup by the key's text
+# ---------------------------------------------------------------------------
+
+class TestParserOnce:
+    def test_main_builds_no_parser_after_the_first(self, capsys, monkeypatch):
+        import argparse
+
+        run_cli(["tables", "--table", "1"], capsys)
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        for argv in (["spectrum", "-k", "3", "-p", "7", "-m", "3"], ["lift", "-k", "4", "-p", "5"],
+                     ["family", "-k", "4", "-p", "5", "--ell-max", "2"]):
+            assert run_cli(argv, capsys)[0] == 0
+        assert built == []
+
+    def test_environment_read_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("GPSPEC_ELL_MAX", "1")
+        _, one, _ = run_cli(["lift", "-k", "4", "-p", "5"], capsys)
+        monkeypatch.setenv("GPSPEC_ELL_MAX", "3")
+        _, three, _ = run_cli(["lift", "-k", "4", "-p", "5"], capsys)
+        assert len(one.splitlines()) == 2 and len(three.splitlines()) == 4
+
+
+def test_numpy_loads_only_for_the_oracles():
+    script = ("import contextlib, io, sys\n"
+              "from gpspec.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    main(['spectrum', '-k', '3', '-p', '7', '-m', '3'])\n"
+              "    main(['energy', '-k', '3', '-p', '97', '-m', '18'])\n"
+              "    print('numpy' in sys.modules, file=sys.stderr)\n"
+              "    main(['verify', '-k', '3', '-p', '7', '-m', '3'])\n"
+              "    print('numpy' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "False\nTrue\n", proc.stderr
+
+
+class CacheMachine(RuleBasedStateMachine):
+    """Appends records, truncated records and foreign lines to one cache
+    file, and looks keys up: ``_cache_lookup`` must answer as the
+    line-by-line referee does."""
+
+    # a small alphabet, so that keys repeat and prefix one another; '"', '\\'
+    # and newlines are escaped in the key's text, and 'é' is not ASCII
+    keys = st.text(alphabet='a"\\\né', max_size=2)
+    outputs = st.one_of(st.text(max_size=6), keys.map(lambda k: '"key": ' + json.dumps(k)))
+    codes = st.sampled_from([0, 1])
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp()
+        self.path = os.path.join(self.dir, "cache.jsonl")
+
+    def teardown(self):
+        shutil.rmtree(self.dir)
+
+    def _write(self, data: bytes) -> None:
+        with open(self.path, "ab") as fh:
+            fh.write(data)
+
+    @staticmethod
+    def _line(obj) -> bytes:
+        return json.dumps(obj, sort_keys=True).encode("utf-8")
+
+    @rule(key=keys, output=outputs, code=codes)
+    def append(self, key, output, code):
+        cli._cache_append(self.path, key, output, code)
+
+    @rule(key=keys, output=outputs, code=codes, cut=st.floats(0, 1, exclude_max=True))
+    def append_truncated(self, key, output, code, cut):
+        line = self._line({"code": code, "key": key, "output": output})
+        self._write(line[:int(cut * len(line))])
+
+    @rule(key=keys, output=outputs, code=codes,
+          wrap=st.sampled_from(["list", "nested", "not-utf8", "trailing"]))
+    def append_foreign(self, key, output, code, wrap):
+        """A line holding a record's key text that is no record of the cache."""
+        rec = {"code": code, "key": key, "output": output}
+        if wrap == "list":
+            line = self._line([rec])
+        elif wrap == "nested":
+            line = self._line({"entry": rec})
+        elif wrap == "not-utf8":                           # in the output, a byte UTF-8 never has
+            line = self._line(rec)[:-2] + b"\xff" + self._line(rec)[-2:]
+        else:                                              # text after the record
+            line = self._line(rec) + b" x"
+        self._write(line + b"\n")
+
+    @rule(data=st.binary(max_size=12))
+    def append_bytes(self, data):
+        self._write(data)
+
+    @rule(key=keys)
+    def lookup(self, key):
+        assert cli._cache_lookup(self.path, key) == scan_cache(self.path, key)
+
+
+TestCacheMachine = CacheMachine.TestCase
+TestCacheMachine.settings = settings(max_examples=150, stateful_step_count=30, deadline=None,
+                                     derandomize=True, database=None)
