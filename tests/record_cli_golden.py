@@ -3,9 +3,12 @@
     PYTHONPATH=src python tests/record_cli_golden.py
 
 Runs every argv of ``argvs()`` through ``gpspec.cli.main`` in this process
-and writes one JSON line per argv: the argv, its exit code and the SHA-256 of
-its stdout.  ``test_cli.test_golden_cli_outputs`` replays the file, so any
-change to what a command prints or how it exits shows up there.  Re-record
+and writes one JSON line per argv: the argv, its exit code, the SHA-256 of
+its stdout and the last line of its stderr (the ``error: ...`` diagnostic, or
+"" when stderr is empty; argparse's usage lines above it are left out, as
+they wrap with the terminal width).  ``test_cli.test_golden_cli_outputs``
+replays the file, so any change to what a command prints, how it exits or
+what it reports on failure shows up there.  Re-record
 only for a deliberate output change, and name the argv whose entries changed.
 """
 from __future__ import annotations
@@ -71,14 +74,16 @@ def argvs() -> list[list[str]]:
 
 
 def run(argv: list[str]) -> dict:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:                    # argparse rejects the command line
             code = exc.code
+    lines = stderr.getvalue().splitlines()
     return {"argv": argv, "code": code,
-            "stdout_sha256": hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()}
+            "stdout_sha256": hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest(),
+            "diagnostic": lines[-1] if lines else ""}
 
 
 if __name__ == "__main__":
