@@ -67,7 +67,7 @@ _CAPS = {"dense_cap": (oracle.DENSE_CAP, 1), "char_cap": (oracle.CHAR_CAP, 1),
 
 
 # ---------------------------------------------------------------------------
-# Serialization (JSON round-trips exactly; all big integers as strings)
+# Serialization (all big integers as exact decimal strings)
 # ---------------------------------------------------------------------------
 
 def spectrum_to_dict(s: Spectrum, graph: GraphSpec | None = None) -> dict:
@@ -83,19 +83,6 @@ def spectrum_to_dict(s: Spectrum, graph: GraphSpec | None = None) -> dict:
     return d
 
 
-def spectrum_from_dict(d: dict) -> Spectrum:
-    return Spectrum(
-        entries=tuple((int(e["value"]), int(e["mult"])) for e in d["spectrum"]),
-        principal=int(d["principal"]),
-        order=int(d["order"]),
-        loops=int(d["loops"]),
-    )
-
-
-def graph_from_dict(d: dict) -> GraphSpec:
-    return GraphSpec(d["k"], d["p"], d["m"], Variant(d["variant"]))
-
-
 def report_to_dict(r: EnergyReport) -> dict:
     return {
         "energy": str(r.energy),
@@ -106,16 +93,6 @@ def report_to_dict(r: EnergyReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> EnergyReport:
-    return EnergyReport(
-        energy=int(d["energy"]),
-        complement_energy=int(d["complement_energy"]),
-        positive_nonprincipal_count=d["positive_nonprincipal_count"],
-        equienergetic=d["equienergetic"],
-        criterion_agrees=d["criterion_agrees"],
-    )
-
-
 def witness_to_dict(w: FamilyWitness) -> dict:
     return {
         "p": w.p, "k": w.k, "t": w.t, "s": w.s, "ell": w.ell,
@@ -124,16 +101,6 @@ def witness_to_dict(w: FamilyWitness) -> dict:
         "interval_hit": w.interval_hit,
         "q_digits": w.q_digits,
     }
-
-
-def witness_from_dict(d: dict) -> FamilyWitness:
-    return FamilyWitness(
-        p=d["p"], k=d["k"], t=d["t"], s=d["s"], ell=d["ell"],
-        pair=(int(d["pair"][0]), int(d["pair"][1])),
-        equienergetic=d["equienergetic"],
-        interval_hit=d["interval_hit"],
-        q_digits=d["q_digits"],
-    )
 
 
 def _json_line(d: dict) -> str:
@@ -280,7 +247,8 @@ def _cache_lookup(path: str, key: str) -> tuple[str, int] | None:
     """(output, code) of the first record whose key is ``key``, else None.
     The file is searched as bytes for the key's text, and only the line
     around each match is decoded; a line that does not decode, is not a
-    record or holds another key is passed over."""
+    record, holds another key or no usable result (an ``output`` string and
+    a ``code`` of 0 or 1, the codes appends write) is passed over."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -297,7 +265,9 @@ def _cache_lookup(path: str, key: str) -> tuple[str, int] | None:
         except ValueError:              # truncated, foreign or not UTF-8 (UnicodeDecodeError)
             rec = None
         if isinstance(rec, dict) and rec.get("key") == key:
-            return rec["output"], rec["code"]
+            output, code = rec.get("output"), rec.get("code")
+            if isinstance(output, str) and type(code) is int and code in (0, 1):
+                return output, code
         at = data.find(needle, end)
     return None
 

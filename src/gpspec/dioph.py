@@ -1,17 +1,20 @@
 """Quadratic-form representations with side conditions.
 
-Two norm forms drive the closed spectral formulas:
+This module alone states the norm form of each k: its coefficient
+(``form_coeff``), its target at exponent e (``norm_target``) and the
+admissible pairs (``check_pair``; ``belongs`` matches a solved pair to GP(k, q)),
 
-    4 * p^r   = a^2 + 27*b^2   with a = 1 (mod 3), gcd(a, p) = 1   (k = 3)
-    p^(2t)    = c^2 +  4*d^2   with c = 1 (mod 4), gcd(c, p) = 1   (k = 4)
+    4 * p^e   = a^2 + 27*b^2   with a = 1 (mod 3), gcd(a, p) = 1   (k = 3)
+    p^(2e)    = c^2 +  4*d^2   with c = 1 (mod 4), gcd(c, p) = 1   (k = 4)
 
-plus the minimal exponent t with  p^t = x^2 + 27*y^2, gcd(x, p) = 1,
-which seeds the lifting recursions.
+plus the minimal exponent t with  p^t = x^2 + 27*y^2, gcd(x, p) = 1, which
+seeds the lifting recursions; x^2 + 27y^2 has class number 3, so t is 1 or 3.
 
 All come from one Cornacchia solve of p = u^2 + 3v^2 or u^2 + v^2: up to
 units and conjugation, the powers of pi = (u, v) are the only elements of
 norm p^r coprime to p, so each target is one pair power of pi (O(log r)
-multiplications) and the choice of its admissible unit multiple.
+multiplications) and the choice of its admissible unit multiple; a k = 3
+family's base and offset pairs share one solve (``_k3_family``).
 
 Sign normalization: the y-component is always >= 0 (the spectra are not
 affected by its sign), and the x-component sign is fixed by the congruence.
@@ -22,11 +25,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadInput, BadP, NoSolution, NotFound
+from .errors import BadInput, BadP, NoSolution
 from .ff import is_prime
-
-#: Default search bound for the minimal exponent.
-T_CAP = 64
 
 
 class QFForm(Enum):
@@ -35,6 +35,8 @@ class QFForm(Enum):
 
 
 _FORM_COEFF = {QFForm.X2_27Y2: 27, QFForm.X2_4Y2: 4}
+#: k -> the norm form of its pairs
+_FORM = {3: QFForm.X2_27Y2, 4: QFForm.X2_4Y2}
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,34 @@ class QFRep:
             raise BadInput(f"({self.x}, {self.y}) does not represent {self.target} by {self.form.value}")
         if self.y < 0:
             raise BadInput("y-component must be normalized to y >= 0")
+
+
+def form_coeff(k: int) -> int:
+    """The coefficient of y^2 in the norm form of k: 27 (k = 3) or 4 (k = 4)."""
+    return _FORM_COEFF[_FORM[k]]
+
+
+def norm_target(p: int, k: int, e: int) -> int:
+    """The norm of the pair of k at exponent e: 4 p^e (k = 3) or p^(2e) (k = 4)."""
+    return 4 * p ** e if k == 3 else p ** (2 * e)
+
+
+def check_pair(p: int, k: int, e: int, x: int, y: int) -> None:
+    """Raise AssertionError unless (x, y) is an admissible pair of k at
+    exponent e: x^2 + form_coeff(k) y^2 = norm_target(p, k, e), x = 1 (mod k)
+    and gcd(x, p) = 1."""
+    if x * x + form_coeff(k) * y * y != norm_target(p, k, e):
+        raise AssertionError(f"norm identity of k = {k} failed at {p}^{e}")
+    if x % k != 1 or math.gcd(x, p) != 1:
+        raise AssertionError(f"congruence/coprimality of k = {k} failed at {p}^{e}")
+
+
+def belongs(rep: QFRep, k: int, q: int) -> bool:
+    """Whether rep has the form of k and the norm target of GP(k, q), q = p^(k e):
+    4 q^(1/3) (k = 3) or q^(1/2) (k = 4), tested as target^3 = 64 q or target^2 = q."""
+    if rep.form is not _FORM.get(k):
+        return False
+    return rep.target ** 3 == 64 * q if k == 3 else rep.target ** 2 == q
 
 
 def mul_pair(u, v, coeff):
@@ -121,7 +151,7 @@ def solve_ab(p: int, r: int) -> QFRep:
     _require(p, 3)
     if r < 1:
         raise BadInput(f"r = {r} must be >= 1")
-    return QFRep(QFForm.X2_27Y2, 4 * p ** r, *_k3_pair(p, pair_pow(_base(p, 3), r, 3)))
+    return QFRep(QFForm.X2_27Y2, norm_target(p, 3, r), *_k3_pair(p, pair_pow(_base(p, 3), r, 3)))
 
 
 def solve_cd(p: int, t: int) -> QFRep:
@@ -134,26 +164,54 @@ def solve_cd(p: int, t: int) -> QFRep:
         raise BadInput(f"t = {t} must be >= 1")
     u, v = _base(p, 4)
     c, d = pair_pow((u * u - v * v, u * v), t, 4)
-    return QFRep(QFForm.X2_4Y2, p ** (2 * t), c if c % 4 == 1 else -c, abs(d))
+    return QFRep(QFForm.X2_4Y2, norm_target(p, 4, t), c if c % 4 == 1 else -c, abs(d))
 
 
-def minimal_t(p: int, t_cap: int = T_CAP) -> tuple[int, int, int]:
-    """Smallest t <= t_cap such that p^t = x^2 + 27*y^2 with gcd(x, p) = 1.
+def minimal_t(p: int) -> tuple[int, int, int]:
+    """Smallest t such that p^t = x^2 + 27*y^2 with gcd(x, p) = 1: 1 or 3.
 
-    It is the first t whose pair (a, b) of 4 p^t is even: (x, y) = (+-a/2,
-    b/2) with x = 1 (mod 3).  One base solve; each next exponent is one
-    more multiplication by the base.  Raises NotFound(t_cap) past the cap;
-    for p = 1 (mod 3) the minimal t is 1 or 3, so any cap >= 3 succeeds.
+    The base pair (x, y) of the family of GP(3, p), from one base solve
+    (``_k3_family``).  Raises NoSolution when neither t = 1 nor t = 3 has
+    one, which for p = 1 (mod 3) means that p is composite.
+    """
+    t, (x, y), _ = _k3_family(p, 0)
+    return t, x, y
+
+
+def _k3_family(p: int, s: int, t: int | None = None
+               ) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(t, (x0, y0), (a0, b0)) of the family of GP(3, p) with offset s, from
+    one base solve: t and p^t = x0^2 + 27 y0^2 of ``minimal_t``, and
+    4 p^s = a0^2 + 27 b0^2 with a0 = 1 (mod 3) ((-2, 0) for s = 0).
+
+    A given t must equal the minimal exponent; 0 <= s < t.  The exponents
+    t = 1, 2, 3 are tried in turn, each its pair (a, b) of 4 p^t, the first
+    even one giving (x0, y0) = (+-a/2, b/2); the class number of
+    x^2 + 27y^2 is 3, so t = 2 never is.  One conjugate base product can be
+    divisible by p (p = 7, s = 2 gives a1 = 49), which would break
+    coprimality at every level; exactly one sign of b0 is safe (p dividing
+    both would divide 2*a0*x0), +b0 preferred, and the recursion
+    a(l+1) = 2*x0*a(l) - p^t*a(l-1) then keeps every level coprime.
     """
     _require(p, 3)
     base = power = _base(p, 3)
-    for t in range(1, t_cap + 1):
+    for t0 in (1, 2, 3):
         a, b = _k3_pair(p, power)
         if a % 2 == 0 and b % 2 == 0:
-            x = a // 2
-            return t, (x if x % 3 == 1 else -x), b // 2
+            break
         power = mul_pair(power, base, 3)
-    raise NotFound(t_cap)
+    else:
+        raise NoSolution(f"no t <= 3 has {p}^t = x^2 + 27y^2 with gcd(x, p) = 1; is {p} prime?")
+    x0, y0 = a // 2, b // 2
+    x0 = x0 if x0 % 3 == 1 else -x0
+    if t is not None and t != t0:
+        raise BadInput(f"minimal exponent of p = {p} is {t0}, not {t}")
+    if not 0 <= s < t0:
+        raise BadInput(f"s = {s} must satisfy 0 <= s < t = {t0}")
+    a0, b0 = _k3_pair(p, pair_pow(base, s, 3))
+    if (a0 * x0 - 27 * b0 * y0) % p == 0:
+        b0 = -b0
+    return t0, (x0, y0), (a0, b0)
 
 
 def is_cubic_residue(a: int, p: int) -> bool:

@@ -115,16 +115,12 @@ def corollary_condition(k: int, rep: dioph.QFRep, q: int) -> bool:
     k=3:  a > 9|b|, or a < 0 with -a < 9|b|.
     k=4:  3c^2 < 4d^2  (the exact form of |c| < (2/sqrt(3))|d|).
 
-    The representation must belong to q: target^3 = 64 q for k=3,
-    target^2 = q for k=4.
+    The representation must belong to q (``dioph.belongs``).
     """
+    if k not in (3, 4):
+        raise OutOfScope(f"k = {k} not in {{3, 4}}")
+    if not dioph.belongs(rep, k, q):
+        raise OutOfScope(f"representation {rep} does not match k={k}, q={q}")
     if k == 3:
-        if rep.form is not dioph.QFForm.X2_27Y2 or rep.target ** 3 != 64 * q:
-            raise OutOfScope(f"representation {rep} does not match k=3, q={q}")
-        a, b = rep.x, rep.y
-        return a > 9 * abs(b) or (a < 0 and -a < 9 * abs(b))
-    if k == 4:
-        if rep.form is not dioph.QFForm.X2_4Y2 or rep.target ** 2 != q:
-            raise OutOfScope(f"representation {rep} does not match k=4, q={q}")
-        return 3 * rep.x * rep.x < 4 * rep.y * rep.y
-    raise OutOfScope(f"k = {k} not in {{3, 4}}")
+        return rep.x > 9 * abs(rep.y) or (rep.x < 0 and -rep.x < 9 * abs(rep.y))
+    return 3 * rep.x * rep.x < 4 * rep.y * rep.y

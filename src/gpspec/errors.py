@@ -39,14 +39,6 @@ class NoSolution(GPSpecError):
     """
 
 
-class NotFound(GPSpecError):
-    """The minimal-exponent search was exhausted at its cap."""
-
-    def __init__(self, t_cap):
-        super().__init__(f"no admissible representation found for t <= {t_cap}")
-        self.t_cap = t_cap
-
-
 class OutOfScope(GPSpecError):
     """The (k, p, m) triple fails the hypotheses of the closed formulas."""
 

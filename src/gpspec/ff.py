@@ -312,7 +312,7 @@ def _make_field_cached(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m, modulus, generator)
 
 
-def make_field(p: int, m: int, cap: int = FIELD_CAP) -> FieldSpec:
+def make_field(p: int, m: int) -> FieldSpec:
     """Build the deterministic model of F_{p^m}.
 
     Modulus: monic irreducible of degree m with lexicographically smallest
@@ -324,8 +324,8 @@ def make_field(p: int, m: int, cap: int = FIELD_CAP) -> FieldSpec:
         raise NonPrime(f"p = {p} is not prime")
     if m < 1:
         raise BadInput(f"m = {m} must be >= 1")
-    if p ** m > cap:
-        raise CapExceeded(f"q = {p}^{m} exceeds the construction cap {cap}")
+    if p ** m > FIELD_CAP:
+        raise CapExceeded(f"q = {p}^{m} exceeds the construction cap {FIELD_CAP}")
     return _make_field_cached(p, m)
 
 

@@ -1,28 +1,25 @@
 """Exact integer recursions lifting spectra to field extensions.
 
 All "complex" bookkeeping is carried out as integer pairs under the norm
-forms X^2 + 27 Y^2 (k = 3) and X^2 + 4 Y^2 (k = 4):
-
-    (x, y) * (u, v) = (x*u - 27*y*v, x*v + y*u)      norm 27
-    (c, d) * (u, v) = (c*u -  4*d*v, c*v + d*u)      norm 4
-
-so no irrational arithmetic ever occurs.  Level indexing: the base pair
-(x0, y0) from ``dioph.minimal_t`` has norm p^t, and the pair at level
-ell >= 1 is its ell-th power, with norm p^(t*ell).  An off-by-one here is
-the likeliest bug, so the helpers below all speak in terms of ell of the
-derived graph GP(3, p^(3(t*ell+s))) rather than raw power indices.
+form of k (``dioph``: X^2 + 27 Y^2 for k = 3, X^2 + 4 Y^2 for k = 4), with
+``dioph.mul_pair`` as the product, so no irrational arithmetic ever occurs.
+Level indexing: the base pair (x0, y0) from ``dioph.minimal_t`` has norm
+p^t, and the pair at level ell >= 1 is its ell-th power, with norm p^(t*ell).
+An off-by-one here is the likeliest bug, so the helpers below all speak in
+terms of ell of the derived graph GP(3, p^(3(t*ell+s))) rather than raw
+power indices.
 
 The k = 3 coefficient pair is (a, b) = (a0, b0) * (x, y)^ell with
 4 p^s = a0^2 + 27 b0^2 ((a0, b0) = (-2, 0) for s = 0); the k = 4 pair is
-(c, d) = (c1, d1)^ell with p^2 = c1^2 + 4 d1^2.  ``derived_ab`` and
-``derived_cd`` take one pair power, ``levels`` one multiplication a level.
-``level_exponent`` names the graph of a level, GP(k, p^m) with
-m = k*(t*ell + s); the CLI takes its spectrum by the closed formulas, and
-the tests check ``derived_spectrum_k3``/``_k4`` against those.
+(c, d) = (c1, d1)^ell with p^2 = c1^2 + 4 d1^2.  A family's base pairs come
+from one base solve (``_family_base``); ``derived_ab`` and ``derived_cd``
+take one pair power, ``levels`` one multiplication a level, and every pair
+passes ``dioph.check_pair``.  ``level_exponent`` names the graph of a level,
+GP(k, p^m) with m = k*(t*ell + s); the CLI takes its spectrum by the closed
+formulas, and the tests check ``derived_spectrum_k3``/``_k4`` against those.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -35,31 +32,24 @@ from .spectra import Spectrum, k3_case_a_spectrum, k4_case_a_spectrum
 def step_xy(p: int, t: int, xy: tuple[int, int]) -> tuple[int, int]:
     """Advance a norm-p^(t*ell) pair one level by multiplying with the base
     pair of ``dioph.minimal_t(p)`` (whose minimal exponent must be t)."""
-    return mul_pair(k3_base_pairs(p, 0, t)[1], xy, 27)
+    return mul_pair(k3_base_pairs(p, 0, t)[1], xy, dioph.form_coeff(3))
 
 
 def k3_base_pairs(p: int, s: int, t: int | None = None
                   ) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """(t, (x0, y0), (a0, b0)) with 4 p^s = a0^2 + 27 b0^2 and compatible signs.
+    """(t, (x0, y0), (a0, b0)) with 4 p^s = a0^2 + 27 b0^2 and compatible signs,
+    from one base solve (``dioph._k3_family``, which states the sign rule).
+    A given t must equal the minimal exponent; 0 <= s < t."""
+    return dioph._k3_family(p, s, t)
 
-    A given t must equal the minimal exponent; 0 <= s < t.  One conjugate
-    base product can be divisible by p (p = 7, s = 2 gives a1 = 49), which
-    would break coprimality at every level; exactly one sign of b0 is safe
-    (p dividing both would divide 2*a0*x0), +b0 preferred, and the recursion
-    a(l+1) = 2*x0*a(l) - p^t*a(l-1) then keeps every level coprime.
-    """
-    t0, x0, y0 = dioph.minimal_t(p)
-    if t is not None and t != t0:
-        raise BadInput(f"minimal exponent of p = {p} is {t0}, not {t}")
-    if not 0 <= s < t0:
-        raise BadInput(f"s = {s} must satisfy 0 <= s < t = {t0}")
-    if s == 0:
-        return t0, (x0, y0), (-2, 0)
-    rep = dioph.solve_ab(p, s)
-    a0, b0 = rep.x, rep.y
-    if (a0 * x0 - 27 * b0 * y0) % p == 0:
-        b0 = -b0
-    return t0, (x0, y0), (a0, b0)
+
+def _derive(p: int, k: int, t: int | None, s: int, ell: int) -> tuple[int, int]:
+    """The pair of level ell of the family of GP(k, p) by one pair power."""
+    t, base, base_ab = _family_base(p, k, t, s)
+    coeff = dioph.form_coeff(k)
+    pair = mul_pair(base_ab, pair_pow(base, ell, coeff), coeff)
+    dioph.check_pair(p, k, t * ell + s, *pair)
+    return pair
 
 
 def derived_ab(p: int, t: int, s: int, ell: int) -> tuple[int, int]:
@@ -70,17 +60,7 @@ def derived_ab(p: int, t: int, s: int, ell: int) -> tuple[int, int]:
     """
     if ell < 0 or (s == 0 and ell == 0):
         raise BadInput("level ell must be >= 1 (>= 0 when s > 0)")
-    _, base_xy, base_ab = k3_base_pairs(p, s, t)
-    a, b = mul_pair(base_ab, pair_pow(base_xy, ell, 27), 27)
-    check_k3_invariants(p, t * ell + s, a, b)
-    return a, b
-
-
-def check_k3_invariants(p: int, e: int, a: int, b: int) -> None:
-    if a * a + 27 * b * b != 4 * p ** e:
-        raise AssertionError(f"norm identity failed at 4*{p}^{e}")
-    if a % 3 != 1 or math.gcd(a, p) != 1:
-        raise AssertionError(f"congruence/coprimality failed for a = {a}")
+    return _derive(p, 3, t, s, ell)
 
 
 def derived_spectrum_k3(p: int, t: int, s: int, ell: int) -> Spectrum:
@@ -96,17 +76,7 @@ def derived_cd(p: int, ell: int) -> tuple[int, int]:
     the base solution of p^2 = X^2 + 4 Y^2 (exact integer recursion)."""
     if ell < 1:
         raise BadInput("ell must be >= 1")
-    rep = dioph.solve_cd(p, 1)
-    cd = pair_pow((rep.x, rep.y), ell, 4)
-    check_k4_invariants(p, ell, *cd)
-    return cd
-
-
-def check_k4_invariants(p: int, ell: int, c: int, d: int) -> None:
-    if c * c + 4 * d * d != p ** (2 * ell):
-        raise AssertionError(f"norm identity failed at {p}^{2 * ell}")
-    if c % 4 != 1 or math.gcd(c, p) != 1:
-        raise AssertionError(f"congruence/coprimality failed for c = {c}")
+    return _derive(p, 4, None, 0, ell)
 
 
 def derived_spectrum_k4(p: int, ell: int) -> Spectrum:
@@ -128,20 +98,16 @@ class Level:
     pair: tuple[int, int]
 
 
-def check_k4_offsets(t: int | None, s: int) -> None:
-    """A k = 4 family has no (t, s) offsets: only t = 1 (or none) and s = 0."""
-    if s != 0 or t not in (None, 1):
-        raise BadInput("k=4 families take no (t, s) offsets")
-
-
 def _family_base(p: int, k: int, t: int | None, s: int
                  ) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """(t, base, base_ab) of the family of GP(k, p): for k = 3 the pairs of
-    ``k3_base_pairs(p, s, t)``, for k = 4 (no offsets) the base solution of
-    p^2 = c^2 + 4 d^2 and (1, 0).  Raises BadP unless p = 1 (mod k) is prime."""
+    """(t, base, base_ab) of the family of GP(k, p), from one base solve: for
+    k = 3 the pairs of ``k3_base_pairs(p, s, t)``, for k = 4 (no offsets:
+    t = 1 or None, s = 0) the base solution of p^2 = c^2 + 4 d^2 and (1, 0).
+    Raises BadP unless p = 1 (mod k) is prime."""
     if k == 3:
         return k3_base_pairs(p, s, t)
-    check_k4_offsets(t, s)
+    if s != 0 or t not in (None, 1):
+        raise BadInput("k=4 families take no (t, s) offsets")
     rep = dioph.solve_cd(p, 1)
     return 1, (rep.x, rep.y), (1, 0)
 
@@ -155,14 +121,14 @@ def level_exponent(p: int, k: int, ell: int, t: int | None = None, s: int = 0) -
 
 
 def levels(p: int, k: int, ell_max: int, t: int | None = None, s: int = 0) -> Iterator[Level]:
-    """Levels 1..ell_max of the family of GP(k, p), invariants checked."""
+    """Levels 1..ell_max of the family of GP(k, p), each pair checked."""
     t, base, base_ab = _family_base(p, k, t, s)
-    coeff, check = (27, check_k3_invariants) if k == 3 else (4, check_k4_invariants)
+    coeff = dioph.form_coeff(k)
     m, root, q, raw = k * s, p ** s, p ** (k * s), (1, 0)
     for ell in range(1, ell_max + 1):
         raw = mul_pair(base, raw, coeff)
         pair = mul_pair(base_ab, raw, coeff)
-        check(p, t * ell + s, *pair)
+        dioph.check_pair(p, k, t * ell + s, *pair)
         m += k * t
         root *= p ** t
         q *= p ** (k * t)

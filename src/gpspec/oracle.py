@@ -286,7 +286,7 @@ class WeightDistribution:
 
 
 def code_weight_distribution(k: int, p: int, m: int,
-                             codeword_cap: int = CHAR_CAP) -> WeightDistribution:
+                             char_cap: int = CHAR_CAP) -> WeightDistribution:
     """Weights of the q codewords (Tr(gamma w^(k i)))_{i < n}, w primitive.
 
     Needs k | (q-1)/(p-1) so the code length is n = (q-1)/k.  Codewords of
@@ -295,8 +295,8 @@ def code_weight_distribution(k: int, p: int, m: int,
     zero codeword contributes weight 0 once.
     """
     q = p ** m
-    if q > codeword_cap:
-        raise CapExceeded(f"q = {q} exceeds the codeword cap {codeword_cap}")
+    if q > char_cap:
+        raise CapExceeded(f"q = {q} exceeds the character cap {char_cap}")
     if ((q - 1) // (p - 1)) % k != 0:
         raise OutOfScope(f"{k} does not divide (q-1)/(p-1) = {(q - 1) // (p - 1)}")
     n = (q - 1) // k
@@ -310,7 +310,7 @@ def weight_eigenvalue_check(k: int, p: int, m: int, char_cap: int = CHAR_CAP) ->
     """True iff mapping weights through  lambda = n - p*w/(p-1)  reproduces
     the character-sum spectrum exactly, frequencies as multiplicities; both
     oracles run under char_cap."""
-    dist = code_weight_distribution(k, p, m, codeword_cap=char_cap)
+    dist = code_weight_distribution(k, p, m, char_cap=char_cap)
     q = p ** m
     n = (q - 1) // k
     mapped = []

@@ -109,13 +109,11 @@ def require_in_scope(k: int, p: int, m: int) -> HypothesisCase:
 def case_a_rep(k: int, p: int, m: int, rep: dioph.QFRep | None = None) -> dioph.QFRep:
     """The norm-form pair of the case A formulas for q = p^m: (a, b) with
     4 q^(1/3) = a^2 + 27 b^2 (k = 3), or (c, d) with q^(1/2) = c^2 + 4 d^2
-    (k = 4).  A pair the caller already holds is checked to have that form
-    and target and returned as it is, so the solve runs once per graph."""
+    (k = 4).  A pair the caller already holds is checked to belong to q
+    (``dioph.belongs``) and returned as it is, so the solve runs once per graph."""
     if rep is None:
         return dioph.solve_ab(p, m // 3) if k == 3 else dioph.solve_cd(p, m // 4)
-    form, target = (dioph.QFForm.X2_27Y2, 4 * p ** (m // 3)) if k == 3 else \
-        (dioph.QFForm.X2_4Y2, p ** (m // 2))
-    if rep.form is not form or rep.target != target:
+    if not dioph.belongs(rep, k, p ** m):
         raise BadInput(f"representation {rep} does not belong to k={k}, q={p}^{m}")
     return rep
 
@@ -142,20 +140,22 @@ def k4_case_a_eigenvalues(r: int, c: int, d: int) -> tuple[int, int, int, int]:
     )
 
 
+def _case_a_spectrum(k: int, r: int, x: int, y: int) -> Spectrum:
+    """Assemble Spec GP(k, r^k) from the pair (x, y) of the case A formulas."""
+    q = r ** k
+    n = _exact_div(q - 1, k)
+    lams = (k3_case_a_eigenvalues if k == 3 else k4_case_a_eigenvalues)(r, x, y)
+    return Spectrum.from_pairs([(n, 1)] + [(lam, n) for lam in lams], n, q)
+
+
 def k3_case_a_spectrum(r: int, a: int, b: int) -> Spectrum:
     """Assemble Spec GP(3, r^3) from a representation 4r = a^2 + 27 b^2."""
-    q = r ** 3
-    n = _exact_div(q - 1, 3)
-    lams = k3_case_a_eigenvalues(r, a, b)
-    return Spectrum.from_pairs([(n, 1)] + [(lam, n) for lam in lams], n, q)
+    return _case_a_spectrum(3, r, a, b)
 
 
 def k4_case_a_spectrum(r: int, c: int, d: int) -> Spectrum:
     """Assemble Spec GP(4, r^4) from a representation r^2 = c^2 + 4 d^2."""
-    q = r ** 4
-    n = _exact_div(q - 1, 4)
-    lams = k4_case_a_eigenvalues(r, c, d)
-    return Spectrum.from_pairs([(n, 1)] + [(lam, n) for lam in lams], n, q)
+    return _case_a_spectrum(4, r, c, d)
 
 
 def gp_spectrum(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
@@ -164,17 +164,13 @@ def gp_spectrum(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
     if g.variant is not Variant.GP:
         raise ValueError("gp_spectrum expects the GP variant")
     case = require_in_scope(g.k, g.p, g.m)
-    q = g.q
-    n = _exact_div(q - 1, g.k)
-
-    if case is HypothesisCase.K3_CASE_A:
+    if case in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
         rep = case_a_rep(g.k, g.p, g.m, rep)
-        return k3_case_a_spectrum(g.p ** (g.m // 3), rep.x, rep.y)
-    if case is HypothesisCase.K4_CASE_A:
-        rep = case_a_rep(g.k, g.p, g.m, rep)
-        return k4_case_a_spectrum(g.p ** (g.m // 4), rep.x, rep.y)
+        return _case_a_spectrum(g.k, g.p ** (g.m // g.k), rep.x, rep.y)
 
     # semiprimitive branches: strongly regular, three distinct eigenvalues
+    q = g.q
+    n = _exact_div(q - 1, g.k)
     root = g.p ** (g.m // 2)
     if case is HypothesisCase.K3_CASE_B:
         if g.m % 4 == 0:

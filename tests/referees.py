@@ -112,7 +112,8 @@ def scan_generator(f) -> int:
 
 def scan_cache(path, key: str) -> tuple[str, int] | None:
     """(output, code) of the first line of the cache file at ``path`` that
-    decodes as UTF-8 to a JSON object whose "key" is ``key``; lines end at
+    decodes as UTF-8 to a JSON object whose "key" is ``key``, whose "output"
+    is a string and whose "code" is the integer 0 or 1; lines end at
     b"\\n", and a line that does not decode matches nothing."""
     try:
         with open(path, "rb") as fh:
@@ -124,6 +125,9 @@ def scan_cache(path, key: str) -> tuple[str, int] | None:
             rec = json.loads(raw.decode("utf-8"))
         except ValueError:
             continue
-        if isinstance(rec, dict) and rec.get("key") == key:
+        if not isinstance(rec, dict) or rec.get("key") != key:
+            continue
+        if "output" in rec and type(rec["output"]) is str and rec.get("code") in (0, 1) \
+                and not isinstance(rec["code"], (bool, float)):
             return rec["output"], rec["code"]
     return None

@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from gpspec import cli
-from gpspec.cli import (graph_from_dict, main, report_from_dict, report_to_dict,
-                        spectrum_from_dict, spectrum_to_dict, table_csv, witness_from_dict,
-                        witness_to_dict)
+from gpspec.cli import main, render_report, render_spectrum, render_witnesses, table_csv
 from gpspec.energy import is_complementary_equienergetic
 from gpspec.family import find_equienergetic_family
 from gpspec.spectra import GraphSpec, Variant, gp_spectrum, gpsum_spectrum
@@ -242,24 +240,43 @@ class TestTables:
 
 
 class TestJsonRoundTrip:
+    """json.loads of each render_* output holds every field, integers of any
+    size as exact decimal strings."""
+
     def test_spectrum(self):
         g = GraphSpec(3, 7, 3, Variant.GPSUM)
         s = gpsum_spectrum(g)
-        d = json.loads(json.dumps(spectrum_to_dict(s, g)))
-        assert spectrum_from_dict(d) == s
-        assert graph_from_dict(d["graph"]) == g
+        assert json.loads(render_spectrum(s, g, "json")) == {
+            "spectrum": [{"value": str(v), "mult": str(e)} for v, e in s.entries],
+            "principal": str(s.principal), "order": str(s.order), "loops": str(s.loops),
+            "energy": str(s.energy()),
+            "graph": {"k": 3, "p": 7, "m": 3, "variant": "gpsum"}}
 
     def test_report(self):
-        r = is_complementary_equienergetic(gp_spectrum(GraphSpec(3, 7, 6)))
-        assert report_from_dict(json.loads(json.dumps(report_to_dict(r)))) == r
+        g = GraphSpec(3, 7, 6)
+        r = is_complementary_equienergetic(gp_spectrum(g))
+        assert json.loads(render_report(r, g, "json")) == {
+            "energy": str(r.energy), "complement_energy": str(r.complement_energy),
+            "positive_nonprincipal_count": r.positive_nonprincipal_count,
+            "equienergetic": r.equienergetic, "criterion_agrees": r.criterion_agrees,
+            "graph": {"k": 3, "p": 7, "m": 6, "variant": "gp"}}
+
+    @staticmethod
+    def _witness_fields(w) -> dict:
+        return {"p": w.p, "k": w.k, "t": w.t, "s": w.s, "ell": w.ell,
+                "pair": [str(w.pair[0]), str(w.pair[1])], "equienergetic": w.equienergetic,
+                "interval_hit": w.interval_hit, "q_digits": w.q_digits}
 
     def test_witness(self):
-        w = find_equienergetic_family(31, 3, ell_max=3)[-1]
-        assert witness_from_dict(json.loads(json.dumps(witness_to_dict(w)))) == w
+        ws = find_equienergetic_family(31, 3, ell_max=3)
+        assert json.loads(render_witnesses(ws, "json")) == {
+            "witnesses": [self._witness_fields(w) for w in ws]}
 
     def test_big_integers_survive(self):
         w = find_equienergetic_family(7, 3, s=1, ell_max=40)[-1]
-        assert witness_from_dict(json.loads(json.dumps(witness_to_dict(w)))) == w
+        got = json.loads(render_witnesses([w], "json"))["witnesses"][0]
+        assert got == self._witness_fields(w)
+        assert tuple(map(int, got["pair"])) == w.pair and max(map(abs, w.pair)) > 2 ** 64
 
 
 class TestCache:
@@ -499,17 +516,17 @@ class TestLiftRoute:
 
 
 class TestBaseSolves:
-    """A family's base pairs cost one Cornacchia solve each (the minimal
-    exponent's included), and a spectrum one more."""
+    """A family's base pairs, its minimal exponent and offset pair included,
+    cost one Cornacchia solve, and a spectrum one more."""
 
     @pytest.mark.parametrize("argv,most", [
-        (["spectrum", "-k", "3", "-p", "7", "-s", "1", "--lift", "2"], 3),
+        (["spectrum", "-k", "3", "-p", "7", "-s", "1", "--lift", "2"], 2),
         (["spectrum", "-k", "3", "-p", "13", "--lift", "2"], 2),
         (["spectrum", "-k", "4", "-p", "5", "--lift", "2"], 2),
         (["spectrum", "-k", "3", "-p", "7", "-m", "9"], 1),
-        (["lift", "-k", "3", "-p", "7", "-s", "1", "--ell-max", "5"], 2),
-        (["family", "-k", "3", "-p", "7", "-s", "2", "--ell-max", "5"], 2),
-        (["tables"], 6),
+        (["lift", "-k", "3", "-p", "7", "-s", "1", "--ell-max", "5"], 1),
+        (["family", "-k", "3", "-p", "7", "-s", "2", "--ell-max", "5"], 1),
+        (["tables"], 4),
     ])
     def test_solve_count(self, argv, most, capsys, monkeypatch):
         from gpspec import dioph
@@ -659,6 +676,22 @@ class TestCacheRobustness:
             assert code == 0 and out == expected and err == ""
             assert len(cache.read_bytes().splitlines()) == 2
 
+    @pytest.mark.parametrize("extra", [{}, {"output": 7, "code": 0}, {"output": "x", "code": 2},
+                                       {"output": "x", "code": True}, {"output": "x"}])
+    def test_record_without_a_usable_result_is_a_miss(self, tmp_path, capsys, extra):
+        """A line with the key but no output string or no code 0/1 is passed
+        over: the command runs, prints and appends one good record."""
+        cache = tmp_path / "cache.jsonl"
+        args = ["spectrum", "-k", "3", "-p", "7", "-m", "3", "--cache", str(cache)]
+        _, expected, _ = run_cli(args, capsys)
+        key = json.loads(cache.read_text())["key"]
+        cache.write_text(json.dumps({"key": key, **extra}) + "\n")
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (0, expected, "")
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 2 and json.loads(lines[1]) == {"code": 0, "key": key, "output": expected}
+        assert run_cli(args, capsys) == (0, expected, "") and len(cache.read_text().splitlines()) == 2
+
     def test_golden_replay_through_the_cache(self, tmp_path):
         """Every golden argv that exits 0, run twice through one cache: the
         miss appends one line, the hit none, and both print as recorded."""
@@ -802,6 +835,19 @@ class CacheMachine(RuleBasedStateMachine):
         else:                                              # text after the record
             line = self._line(rec) + b" x"
         self._write(line + b"\n")
+
+    @rule(key=keys, output=st.one_of(outputs, st.none(), st.integers(0, 1)),
+          code=st.one_of(st.sampled_from([2, -1, True, False, 0.0, "0"]), codes),
+          drop=st.sampled_from(["none", "output", "code", "both"]))
+    def append_unusable(self, key, output, code, drop):
+        """A record with the key whose output is no string or whose code is
+        not 0 or 1 (or which lacks either), as no append writes it."""
+        rec = {"code": code, "key": key, "output": output}
+        if drop in ("output", "both"):
+            del rec["output"]
+        if drop in ("code", "both"):
+            del rec["code"]
+        self._write(self._line(rec) + b"\n")
 
     @rule(data=st.binary(max_size=12))
     def append_bytes(self, data):

@@ -1,6 +1,7 @@
 """Quadratic-form representation solvers and cubic residuosity."""
 import math
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import primes_upto
 from gpspec import dioph
 from gpspec.dioph import QFForm, QFRep, is_cubic_residue, minimal_t, solve_ab, solve_cd
-from gpspec.errors import BadInput, BadP, NoSolution, NotFound
+from gpspec.errors import BadInput, BadP, NoSolution
 from gpspec.ff import is_prime
+from gpspec.lift import derived_ab, derived_cd, levels
 from gpspec.spectra import GraphSpec, gp_spectrum
 from referees import power_components, scan_ab, scan_cd, scan_minimal_t, scan_steps
 
@@ -138,10 +140,10 @@ class TestMinimalT:
         t, x, y = minimal_t(7)
         assert t == 3 and y != 0
 
-    def test_not_found_at_low_cap(self):
-        with pytest.raises(NotFound) as err:
-            minimal_t(7, t_cap=1)
-        assert err.value.t_cap == 1
+    def test_no_even_pair_up_to_t3_is_no_solution(self, monkeypatch):
+        monkeypatch.setattr(dioph, "_k3_pair", lambda p, power: (1, 1))
+        with pytest.raises(NoSolution, match="t <= 3"):
+            minimal_t(7)
 
     def test_rejects_wrong_residue(self):
         with pytest.raises(BadP):
@@ -153,6 +155,54 @@ class TestMinimalT:
             assert t in (1, 3)
             assert x * x + 27 * y * y == p ** t
             assert x % 3 == 1 and x % p != 0 and y >= 0
+
+
+P_K = {k: [p for p in primes_upto(500) if p % k == 1] for k in (3, 4)}
+
+
+def _pair_at(p: int, k: int, e: int) -> tuple[int, int]:
+    """The admissible pair of k at exponent e >= 0 by the solves."""
+    if e == 0:
+        return (-2, 0) if k == 3 else (1, 0)
+    rep = solve_ab(p, e) if k == 3 else solve_cd(p, e)
+    return rep.x, rep.y
+
+
+def _solved_pairs(p: int, k: int, source: str, n: int) -> list[tuple[int, int, int]]:
+    """(e, x, y) of the pairs one package route gives for p and n."""
+    if source == "solve":
+        return [(n, *_pair_at(p, k, n))]
+    t = minimal_t(p)[0] if k == 3 else 1
+    s = n % t
+    if source == "levels":
+        return [(t * lvl.ell + s, *lvl.pair) for lvl in levels(p, k, 6, s=s)]
+    return [(t * n + s, *(derived_ab(p, t, s, n) if k == 3 else derived_cd(p, n)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.sampled_from([3, 4]),
+       source=st.sampled_from(["solve", "levels", "derived"]), n=st.integers(1, 8))
+def test_check_pair_accepts_solved_pairs_and_rejects_single_faults(data, k, source, n):
+    """``dioph.check_pair`` passes every pair of solve_ab, solve_cd, levels
+    and derived_* for p < 500, and rejects one fault at a time: the norm off
+    by one, x = -1 (mod k) (the pair (-x, y)), and p | x (p times the pair
+    of the exponent whose target is p^2 times smaller)."""
+    p = data.draw(st.sampled_from(P_K[k]))
+    target = dioph.norm_target
+    for e, x, y in _solved_pairs(p, k, source, n):
+        dioph.check_pair(p, k, e, x, y)
+        for shift in (-1, 1):
+            with mock.patch.object(dioph, "norm_target", lambda *a: target(*a) + shift):
+                with pytest.raises(AssertionError, match="norm"):
+                    dioph.check_pair(p, k, e, x, y)
+        with pytest.raises(AssertionError, match="congruence"):
+            dioph.check_pair(p, k, e, -x, y)
+        step = 2 if k == 3 else 1
+        if e >= step:
+            x1, y1 = _pair_at(p, k, e - step)
+            assert (p * x1) ** 2 + dioph.form_coeff(k) * (p * y1) ** 2 == target(p, k, e)
+            with pytest.raises(AssertionError, match="coprimality"):
+                dioph.check_pair(p, k, e, p * x1, p * y1)
 
 
 class TestCubicResidue:
@@ -210,8 +260,11 @@ class TestCoreAgainstReferees:
         assert (rep.x, rep.y) == scan_cd(p, t)
 
     def test_minimal_t_matches_scan(self):
-        for p in (p for p in primes_upto(500) if p % 3 == 1):
-            assert minimal_t(p) == scan_minimal_t(p)
+        """t is 1 or 3 (x^2 + 27y^2 has class number 3) for every prime
+        p = 1 (mod 3) below 2000, as the y-scan up to t = 64 finds."""
+        for p in (p for p in primes_upto(2000) if p % 3 == 1):
+            assert minimal_t(p) == scan_minimal_t(p), p
+            assert minimal_t(p)[0] in (1, 3)
 
     def test_beyond_the_scan_solutions_are_the_unique_admissible_ones(self):
         sympy = pytest.importorskip("sympy")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gpspec.errors import BadInput, NotFound
+from gpspec.errors import BadInput, NoSolution
 from gpspec.family import (Regime, decimal_digits, find_equienergetic_family, interval_test_k3,
                            interval_test_k4)
 
@@ -59,13 +59,11 @@ class TestFindFamilyK3:
             find_equienergetic_family(31, 3, t=2, s=0, ell_max=3)
 
     def test_propagates_not_found(self, monkeypatch):
-        import gpspec.lift as lift_mod
+        """No minimal exponent found (no even pair at t <= 3): NoSolution."""
+        from gpspec import dioph
 
-        def exhausted(p, t_cap=64):
-            raise NotFound(t_cap)
-
-        monkeypatch.setattr(lift_mod.dioph, "minimal_t", exhausted)
-        with pytest.raises(NotFound):
+        monkeypatch.setattr(dioph, "_k3_pair", lambda p, power: (1, 1))
+        with pytest.raises(NoSolution):
             find_equienergetic_family(7, 3, ell_max=3)
 
 

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpspec.dioph import minimal_t
+from gpspec.dioph import check_pair, minimal_t
 from gpspec.errors import BadInput, BadP
-from gpspec.lift import (check_k3_invariants, check_k4_invariants, derived_ab, derived_cd,
-                         derived_spectrum_k3, derived_spectrum_k4, level_exponent, levels,
-                         mul_pair, step_xy)
+from gpspec.lift import (derived_ab, derived_cd, derived_spectrum_k3, derived_spectrum_k4,
+                         level_exponent, levels, mul_pair, step_xy)
 from gpspec.oracle import char_sum_spectrum
 from gpspec.spectra import GraphSpec, gp_spectrum
 from referees import power_components
@@ -249,12 +248,15 @@ class TestLevels:
 
 
 class TestInvariantCheckers:
+    """The level pairs' check is ``dioph.check_pair`` (tests/test_dioph.py
+    holds its property over the solved pairs)."""
+
     def test_k3_checker_rejects_bad_pair(self):
         with pytest.raises(AssertionError):
-            check_k3_invariants(7, 1, 2, 1)  # 4 + 27 != 28 is fine, but 2 != 1 mod 3
+            check_pair(7, 3, 1, 2, 1)  # 4 + 27 != 28 is fine, but 2 != 1 mod 3
         with pytest.raises(AssertionError):
-            check_k3_invariants(7, 2, 1, 1)  # wrong norm
+            check_pair(7, 3, 2, 1, 1)  # wrong norm
 
     def test_k4_checker_rejects_bad_pair(self):
         with pytest.raises(AssertionError):
-            check_k4_invariants(5, 1, 3, 2)  # 3 != 1 mod 4
+            check_pair(5, 4, 1, 3, 2)  # 3 != 1 mod 4

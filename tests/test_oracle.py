@@ -217,7 +217,7 @@ class TestWeightDistribution:
 
     def test_rejects_over_cap(self):
         with pytest.raises(CapExceeded):
-            code_weight_distribution(3, 7, 3, codeword_cap=100)
+            code_weight_distribution(3, 7, 3, char_cap=100)
 
     @pytest.mark.parametrize("k,p,m", [(3, 2, 4), (3, 2, 6), (3, 7, 3), (4, 3, 4)])
     def test_matches_naive_full_enumeration(self, k, p, m):
