@@ -122,5 +122,6 @@ def corollary_condition(k: int, rep: dioph.QFRep, q: int) -> bool:
     if not dioph.belongs(rep, k, q):
         raise OutOfScope(f"representation {rep} does not match k={k}, q={q}")
     if k == 3:
-        return rep.x > 9 * abs(rep.y) or (rep.x < 0 and -rep.x < 9 * abs(rep.y))
+        a, b = rep.x, rep.y
+        return a > 9 * abs(b) or (a < 0 and -a < 9 * abs(b))
     return 3 * rep.x * rep.x < 4 * rep.y * rep.y

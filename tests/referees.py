@@ -59,10 +59,11 @@ def scan_cd(p: int, t: int) -> tuple[int, int]:
     raise AssertionError(f"{p}^{2 * t} = c^2 + 4*d^2 has no admissible solution")
 
 
-def scan_minimal_t(p: int, t_cap: int = 64) -> tuple[int, int, int] | None:
-    """(t, x, y) for the smallest t <= t_cap with p^t = x^2 + 27 y^2 and
-    gcd(x, p) = 1, x = 1 (mod 3), y >= 0; None when the cap is exhausted."""
-    for t in range(1, t_cap + 1):
+def scan_minimal_t(p: int) -> tuple[int, int, int] | None:
+    """(t, x, y) for the smallest t <= 64 with p^t = x^2 + 27 y^2 and
+    gcd(x, p) = 1, x = 1 (mod 3), y >= 0; None when no t <= 64 has one.
+    The bound lies far past 3, the largest minimal exponent."""
+    for t in range(1, 65):
         target = p ** t
         for y in range(scan_steps(target, 27)):
             x = _square_part(target - 27 * y * y)
