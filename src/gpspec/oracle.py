@@ -6,12 +6,20 @@ from additive character sums or a dense symmetric eigensolver, and code
 weights from trace evaluations.  Agreement of these routes with the closed
 formulas is the central anti-regression property of the repository.
 
-The dense eigensolver is hybrid: a hand-rolled Jacobi for matrices up to
-JACOBI_MAX_N (an easy correctness argument and a second numeric route that
-never calls LAPACK), numpy.linalg.eigvalsh above.  The Jacobi sweeps in
-round-robin (Brent-Luk) order: each sweep is n-1 rounds (n rounded up to
-even) of n/2 disjoint index pairs, and one round rotates all of its pairs
-at once with vectorized row and column updates.
+The dense eigensolver is hybrid: a hand-rolled Jacobi for graphs up to
+JACOBI_MAX_N vertices (an easy correctness argument and a second numeric
+route that never calls LAPACK), numpy.linalg.eigvalsh above.  The Jacobi
+sweeps in round-robin (Brent-Luk) order: each sweep is n-1 rounds (n rounded
+up to even) of n/2 disjoint index pairs, and one round rotates all of its
+pairs at once with vectorized row and column updates.
+
+Either engine solves the matrix as two blocks.  A DenseGraph carries an
+involution sigma that its constructor checks, on the matrix, to be an
+automorphism; A then commutes with sigma and keeps each of sigma's +1 and -1
+eigenspaces, so A's spectrum is exactly the union of the spectra of its two
+blocks on them (see ``dense_eigenvalues``).  ``build_graph`` supplies
+x -> 1 - x (p = 2) or x -> -x (odd p), which halve the blocks: field
+arithmetic, checked like any sigma, with no character or quadratic form.
 
 numpy is imported inside the functions that use it, so importing this
 module (and with it ``gpspec`` and the CLI) does not load numpy; only an
@@ -19,7 +27,6 @@ oracle call does.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -43,20 +50,33 @@ _CLUSTER_TOL = 1e-4
 
 
 class DenseGraph:
-    """Explicit symmetric 0/1 adjacency matrix with loop bookkeeping."""
+    """Explicit symmetric 0/1 adjacency matrix with loop bookkeeping, and an
+    automorphism of order at most 2 (``involution``, the identity when None)
+    that the dense eigensolver splits the matrix by."""
 
-    def __init__(self, adjacency: np.ndarray):
+    def __init__(self, adjacency: np.ndarray, involution: np.ndarray | None = None):
         import numpy as np
 
-        adjacency = np.asarray(adjacency, dtype=np.uint8)
+        adjacency = np.asarray(adjacency)
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
             raise BadInput("adjacency must be square")
+        if not ((adjacency == 0) | (adjacency == 1)).all():
+            raise BadInput("adjacency entries must be 0/1")
+        adjacency = adjacency.astype(np.uint8, copy=False)
         if not np.array_equal(adjacency, adjacency.T):
             raise BadInput("adjacency must be symmetric")
-        if adjacency.max(initial=0) > 1:
-            raise BadInput("adjacency entries must be 0/1")
+        q = adjacency.shape[0]
+        identity = np.arange(q)
+        sigma = identity if involution is None else np.asarray(involution)
+        if sigma.shape != (q,) or sigma.dtype.kind not in "iu" or not ((0 <= sigma) & (sigma < q)).all():
+            raise BadInput(f"involution must be {q} vertex indices")
+        if not np.array_equal(sigma[sigma], identity):
+            raise BadInput("involution must have order at most 2")
+        if not np.array_equal(adjacency.take(sigma, axis=0).take(sigma, axis=1), adjacency):
+            raise BadInput("involution must be an automorphism of the graph")
         self.adjacency = adjacency
-        self.q = adjacency.shape[0]
+        self.involution = sigma
+        self.q = q
         self.loop_count = int(np.trace(adjacency))
 
     def row_sums(self) -> np.ndarray:
@@ -69,9 +89,33 @@ class DenseGraph:
         return int(sums[0])
 
 
+def _code_table(p: int, m: int, sign: int) -> np.ndarray:
+    """table[v, w] = the code of w + sign*v in F_{p^m}, sign = +-1, as int32.
+
+    Codes are base-p digit vectors and addition is digitwise mod p, so the
+    table over the first i+1 digits is p x p blocks of the table over the
+    first i: block (a, b), for digit i of v and of w, shifted by
+    p^i * ((b + sign*a) mod p).
+    """
+    import numpy as np
+
+    digits = np.arange(p, dtype=np.int32)
+    step = (digits[None, :] + sign * digits[:, None]) % p
+    table = np.zeros((1, 1), dtype=np.int32)
+    for i in range(m):
+        size = p ** i
+        table = (step[:, None, :, None] * size + table[None, :, None, :]).reshape(p * size, p * size)
+    return table
+
+
 def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
     """Materialize the graph: edge v~w iff w-v in R_k (GP) or v+w in R_k
-    (sum graph); complement variants flip the off-diagonal bits."""
+    (sum graph); complement variants flip the off-diagonal bits.
+
+    The involution is x -> c - x: c = 1 for p = 2 (a translation, which every
+    Cayley and sum graph in characteristic 2 admits; no fixed points), c = 0
+    for odd p when R_k = -R_k (one fixed point, 0), else the identity.
+    """
     import numpy as np
 
     q = g.q
@@ -79,30 +123,24 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
         raise CapExceeded(f"q = {q} exceeds the dense cap {dense_cap}")
     fld = make_field(g.p, g.m)
     residues = kth_power_residues(fld, g.k)
-    in_r = np.zeros(q, dtype=bool)
-    in_r[list(residues)] = True
+    in_r = np.zeros(q, dtype=np.uint8)
+    in_r[list(residues)] = 1
 
     summing = g.variant in (Variant.GPSUM, Variant.GPSUM_COMPLEMENT)
-    adj = np.zeros((q, q), dtype=np.uint8)
-    codes = np.arange(q)
-    if g.p == 2:
-        # char 2: w - v == w + v == w XOR v on digit vectors
-        for v in range(q):
-            adj[v] = in_r[codes ^ v]
-    else:
-        digits = np.empty((q, g.m), dtype=np.int64)
-        for i in range(g.m):
-            digits[:, i] = codes // g.p ** i % g.p
-        powers = g.p ** np.arange(g.m)
-        for v in range(q):
-            combined = (digits + digits[v]) % g.p if summing else (digits - digits[v]) % g.p
-            adj[v] = in_r[combined @ powers]
-
+    adj = in_r[_code_table(g.p, g.m, 1 if summing else -1)]
     if g.variant in (Variant.GP_COMPLEMENT, Variant.GPSUM_COMPLEMENT):
         diag = np.diag(adj).copy()
         adj = 1 - adj
         np.fill_diagonal(adj, diag)
-    return DenseGraph(adj)
+
+    c = 1 if g.p == 2 else 0
+    weights = g.p ** np.arange(g.m)
+    digits = np.arange(q)[:, None] // weights % g.p
+    digits[:, 0] -= c                             # the digits of x - c
+    sigma = (-digits % g.p) @ weights
+    if g.p != 2 and not np.array_equal(in_r[sigma], in_r):
+        sigma = None
+    return DenseGraph(adj, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +188,6 @@ def char_sum_spectrum(g: GraphSpec, char_cap: int = CHAR_CAP) -> Spectrum:
             raise NonIntegral(residual)
         pairs.append((val, n))
     return Spectrum.from_pairs(pairs, n, q, loops=0)
-
-
-def char_sum_eigenvalue(g: GraphSpec, gamma: int) -> complex:
-    """The raw character sum for one gamma (no rounding); a per-character
-    reference point for the coset-collapsed spectrum above."""
-    fld = make_field(g.p, g.m)
-    residues = sorted(kth_power_residues(fld, g.k))
-    trace_table = fld.trace_table
-    return sum(cmath.exp(2j * cmath.pi * trace_table[fld.mul(gamma, x)] / g.p) for x in residues)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +252,38 @@ def _jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
 
 
 def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:
-    """Raw (unrounded) eigenvalues, ascending.  engine: auto|jacobi|lapack."""
+    """Raw (unrounded) eigenvalues, ascending.  engine: auto|jacobi|lapack,
+    auto meaning the Jacobi up to JACOBI_MAX_N vertices.
+
+    The engine solves the two blocks of A on the +1 and -1 eigenspaces of
+    the involution sigma, an automorphism checked on the matrix when the
+    DenseGraph was made, so A commutes with sigma and the union of the two
+    block spectra is A's spectrum exactly.  With the vertices ordered as
+    P (the x < sigma(x)), sigma(P), then the fixed points F:
+    B+ = [[A_PP + A_P,sigma(P), sqrt(2) A_PF], [sqrt(2) A_FP, A_FF]] and
+    B- = A_PP - A_P,sigma(P).
+    """
     import numpy as np
 
     if engine == "auto":
         engine = "jacobi" if d.q <= JACOBI_MAX_N else "lapack"
-    if engine == "jacobi":
-        return _jacobi_eigenvalues(d.adjacency)
-    if engine == "lapack":
-        return np.linalg.eigvalsh(d.adjacency.astype(np.float64))
-    raise BadInput(f"unknown engine {engine!r}")
+    if engine not in ("jacobi", "lapack"):
+        raise BadInput(f"unknown engine {engine!r}")
+    sigma = d.involution
+    vertices = np.arange(d.q)
+    pairs = vertices[vertices < sigma]
+    h = len(pairs)
+    order = np.concatenate([pairs, sigma[pairs], vertices[vertices == sigma]])
+    a = d.adjacency.take(order, axis=0).take(order, axis=1)
+    # A_sigma(P),sigma(P) = A_PP and A_sigma(P),F = A_PF, since sigma is an automorphism
+    plus = a[h:, h:].astype(np.float64)
+    plus[:h, :h] += a[:h, h:2 * h]
+    plus[:h, h:] *= math.sqrt(2)
+    plus[h:, :h] *= math.sqrt(2)
+    minus = a[:h, :h] - a[:h, h:2 * h].astype(np.float64)
+    del a
+    solve = _jacobi_eigenvalues if engine == "jacobi" else np.linalg.eigvalsh
+    return np.sort(np.concatenate([solve(plus), solve(minus)]))
 
 
 def dense_spectrum(d: DenseGraph, engine: str = "auto", cap: int = DENSE_CAP) -> Spectrum:

@@ -14,12 +14,16 @@ the package routes they check.
   from 2 up with ``FieldSpec.pow`` and referees the generator search of
   ``gpspec.ff.make_field``, which skips the constants and stops each
   candidate at its first failed primitivity test.
+- ``char_sum_eigenvalue`` adds e^(2 pi i Tr(gamma x)/p) over x in R_k with
+  ``cmath``, one character gamma at a time and unrounded, and referees the
+  per-coset trace counts of ``gpspec.oracle.char_sum_spectrum``.
 - ``scan_cache`` decodes a cache file line by line with ``json.loads`` and
   referees ``gpspec.cli._cache_lookup``, which searches the raw bytes for a
   record's key text and decodes only the lines around its matches.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -109,6 +113,16 @@ def scan_generator(f) -> int:
         if order == n:
             return g
     return 1
+
+
+def char_sum_eigenvalue(g, gamma: int) -> complex:
+    """The character sum of gamma over R_k for the GraphSpec g: the sum of
+    e^(2 pi i Tr(gamma x)/p) over x in R_k, unrounded."""
+    from gpspec.ff import kth_power_residues, make_field
+
+    fld = make_field(g.p, g.m)
+    return sum(cmath.exp(2j * cmath.pi * fld.trace_table[fld.mul(gamma, x)] / g.p)
+               for x in sorted(kth_power_residues(fld, g.k)))
 
 
 def scan_cache(path, key: str) -> tuple[str, int] | None:

@@ -7,10 +7,11 @@ import pytest
 from conftest import in_scope_instances
 from gpspec.errors import BadInput, BadK, CapExceeded, NonIntegral, OutOfScope
 from gpspec.ff import kth_power_residues, make_field
-from gpspec.oracle import (JACOBI_MAX_N, DenseGraph, _round_robin, build_graph,
-                           char_sum_eigenvalue, char_sum_spectrum, code_weight_distribution,
-                           dense_eigenvalues, dense_spectrum, weight_eigenvalue_check)
-from gpspec.spectra import GraphSpec, Variant, gp_spectrum, gpsum_spectrum
+from gpspec.oracle import (JACOBI_MAX_N, DenseGraph, _code_table, _round_robin, build_graph,
+                           char_sum_spectrum, code_weight_distribution, dense_eigenvalues,
+                           dense_spectrum, weight_eigenvalue_check)
+from gpspec.spectra import GraphSpec, Variant, complement_spectrum, gp_spectrum, gpsum_spectrum
+from referees import char_sum_eigenvalue
 
 
 class TestBuildGraph:
@@ -63,10 +64,30 @@ class TestBuildGraph:
         assert np.array_equal(comp.adjacency[off], 1 - gpsum.adjacency[off])
 
     def test_complement_spectrum_agrees_with_dense(self):
-        from gpspec.spectra import complement_spectrum, gp_spectrum as gps
-
         g = GraphSpec(3, 2, 6, Variant.GP_COMPLEMENT)
-        assert dense_spectrum(build_graph(g)) == complement_spectrum(gps(GraphSpec(3, 2, 6)))
+        assert dense_spectrum(build_graph(g)) == complement_spectrum(gp_spectrum(GraphSpec(3, 2, 6)))
+
+    def test_code_table_matches_field_arithmetic(self):
+        """The digitwise code table against FieldSpec.add and FieldSpec.neg,
+        entry by entry, for every field of an in-scope graph with q <= 125."""
+        for p, m in sorted({(p, m) for _, p, m in in_scope_instances(125)}):
+            fld = make_field(p, m)
+            diff, total = _code_table(p, m, -1), _code_table(p, m, 1)
+            assert diff.dtype == total.dtype == np.int32
+            for v in range(fld.q):
+                assert diff[v].tolist() == [fld.add(w, fld.neg(v)) for w in range(fld.q)], (p, m, v)
+                assert total[v].tolist() == [fld.add(w, v) for w in range(fld.q)], (p, m, v)
+
+    @pytest.mark.parametrize("k,p,m,fixed", [(3, 2, 4, 0), (3, 5, 2, 1), (4, 3, 4, 1), (4, 7, 2, 1),
+                                             (3, 2, 10, 0), (4, 3, 6, 1)])
+    def test_involution(self, k, p, m, fixed):
+        """x -> 1 - x for p = 2, x -> -x for odd p; DenseGraph checked it on the matrix."""
+        fld = make_field(p, m)
+        one = 1 if p == 2 else 0
+        for variant in Variant:
+            d = build_graph(GraphSpec(k, p, m, variant))
+            assert d.involution.tolist() == [fld.add(one, fld.neg(x)) for x in range(fld.q)]
+            assert (d.involution == np.arange(fld.q)).sum() == fixed
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -188,6 +209,37 @@ class TestDenseSpectrum:
         with pytest.raises(BadInput):
             DenseGraph(np.array([[2, 0], [0, 2]]))
 
+    @pytest.mark.parametrize("entry", [257, 1.5, -255])
+    def test_dense_graph_checks_entries_before_any_cast(self, entry):
+        # each of these casts to 1 as uint8, which would pass for K_2
+        with pytest.raises(BadInput, match="0/1"):
+            DenseGraph(np.array([[0, entry], [entry, 0]]))
+
+    def test_dense_graph_checks_the_involution(self):
+        path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])      # 0 - 1 - 2
+        assert DenseGraph(path, np.array([2, 1, 0])).involution.tolist() == [2, 1, 0]
+        assert DenseGraph(path).involution.tolist() == [0, 1, 2]
+        with pytest.raises(BadInput, match="order"):
+            DenseGraph(1 - np.eye(3, dtype=np.uint8), np.array([1, 2, 0]))
+        with pytest.raises(BadInput, match="automorphism"):
+            DenseGraph(path, np.array([1, 0, 2]))
+        for bad in ([0, 1], [0, 1, 3], [-1, 1, 0], [0.0, 1.0, 2.0]):
+            with pytest.raises(BadInput, match="vertex indices"):
+                DenseGraph(path, np.array(bad))
+
+    @pytest.mark.parametrize("k,p,m", in_scope_instances(400) + [(3, 2, 10), (4, 3, 6)])
+    def test_split_matches_full_solve(self, k, p, m):
+        """The two blocks of the involution against the whole matrix (the
+        identity involution), with both engines below JACOBI_MAX_N; q >= 729
+        covers both shapes of the split: no fixed point (p = 2), one (odd p)."""
+        for variant in (Variant.GP, Variant.GPSUM, Variant.GP_COMPLEMENT):
+            d = build_graph(GraphSpec(k, p, m, variant))
+            whole = DenseGraph(d.adjacency)
+            for engine in ("jacobi", "lapack") if d.q <= JACOBI_MAX_N else ("auto",):
+                split = dense_eigenvalues(d, engine=engine)
+                assert np.allclose(split, dense_eigenvalues(whole, engine=engine), rtol=0, atol=1e-9), \
+                    (k, p, m, variant, engine)
+
     def test_jacobi_no_convergence_reports_sweeps(self):
         from gpspec.errors import NoConvergence
         from gpspec.oracle import _jacobi_eigenvalues
@@ -271,8 +323,9 @@ class TestFullRangeSweeps:
 
     def test_dense_agreement_to_dense_cap(self):
         for (k, p, m) in in_scope_instances(1500):
-            for variant in (Variant.GP, Variant.GPSUM):
+            gp = gp_spectrum(GraphSpec(k, p, m))
+            closed = {Variant.GP: gp, Variant.GPSUM: gpsum_spectrum(GraphSpec(k, p, m, Variant.GPSUM)),
+                      Variant.GP_COMPLEMENT: complement_spectrum(gp)}
+            for variant, spectrum in closed.items():
                 g = GraphSpec(k, p, m, variant)
-                closed = gp_spectrum(GraphSpec(k, p, m)) if variant is Variant.GP \
-                    else gpsum_spectrum(g)
-                assert dense_spectrum(build_graph(g)) == closed, (k, p, m, variant)
+                assert dense_spectrum(build_graph(g)) == spectrum, (k, p, m, variant)
