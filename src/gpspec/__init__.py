@@ -5,29 +5,28 @@ independent brute-force oracles for verification at small q.
 """
 
 from .dioph import QFForm, QFRep, is_cubic_residue, minimal_t, solve_ab, solve_cd
-from .energy import (EnergyReport, corollary_condition, energy, energy_bounds,
+from .energy import (EnergyReport, corollary_condition, energy_bounds,
                      is_complementary_equienergetic, semiprimitive_energy)
 from .errors import GPSpecError
 from .family import FamilyWitness, Regime, find_equienergetic_family, interval_test_k3, interval_test_k4
 from .ff import FieldSpec, HypothesisCase, is_semiprimitive, kth_power_residues, make_field, theorem_hypotheses, trace
-from .lift import derived_ab, derived_cd, derived_spectrum_k3, derived_spectrum_k4, step_xy
+from .lift import level_exponent, levels
 from .oracle import (DenseGraph, WeightDistribution, build_graph, char_sum_spectrum,
                      code_weight_distribution, dense_spectrum, weight_eigenvalue_check)
 from .spectra import (GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum,
                       gpsum_spectrum, spectrum_of)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DenseGraph", "EnergyReport", "FamilyWitness", "FieldSpec", "GPSpecError",
     "GraphSpec", "HypothesisCase", "QFForm", "QFRep", "Regime", "Spectrum",
     "Variant", "WeightDistribution", "build_graph", "char_sum_spectrum",
     "code_weight_distribution", "complement_spectrum", "corollary_condition",
-    "dense_spectrum", "derived_ab", "derived_cd", "derived_spectrum_k3",
-    "derived_spectrum_k4", "energy", "energy_bounds", "find_equienergetic_family",
+    "dense_spectrum", "energy_bounds", "find_equienergetic_family",
     "gp_spectrum", "gpsum_spectrum", "interval_test_k3", "interval_test_k4",
     "is_complementary_equienergetic", "is_cubic_residue", "is_semiprimitive",
-    "kth_power_residues", "make_field", "minimal_t", "semiprimitive_energy",
-    "solve_ab", "solve_cd", "spectrum_of", "step_xy", "theorem_hypotheses", "trace",
-    "weight_eigenvalue_check",
+    "kth_power_residues", "level_exponent", "levels", "make_field", "minimal_t",
+    "semiprimitive_energy", "solve_ab", "solve_cd", "spectrum_of", "theorem_hypotheses",
+    "trace", "weight_eigenvalue_check",
 ]

@@ -188,7 +188,7 @@ def table_csv(which: int) -> str:
             "# eigenvalues: non-principal values, descending; principal is (q-1)/3",
             "ell,a,b,q,eigenvalues",
         ]
-        base_ab = lift.k3_base_pairs(7, 1, 3)[2]
+        base_ab = lift.family_base(7, 3, 3, 1)[2]
         rows = [(0, base_ab, 7, 3)] + [(lvl.ell, lvl.pair, lvl.root, lvl.m)
                                        for lvl in lift.levels(7, 3, 4, 3, 1)]
         for ell, (a, b), root, m in rows:

@@ -32,10 +32,6 @@ class EnergyReport:
     criterion_agrees: bool
 
 
-#: E = sum of multiplicity * |eigenvalue|, as a function of the spectrum.
-energy = Spectrum.energy
-
-
 def semiprimitive_energy(k: int, p: int, m: int) -> int:
     """Exact energy in the semiprimitive case p = -1 (mod k).
 
@@ -93,8 +89,8 @@ def is_complementary_equienergetic(s: Spectrum) -> EnergyReport:
     complement spectrum.  ``criterion_agrees`` records whether the two
     verdicts coincide.
     """
-    direct = energy(s)
-    comp = energy(complement_spectrum(s))
+    direct = s.energy()
+    comp = complement_spectrum(s).energy()
     values = [v for v, _ in s.nonprincipal()]
     pos = sum(1 for v in values if v > 0)
     neg = sum(1 for v in values if v < 0)

@@ -163,9 +163,11 @@ def char_sum_spectrum(g: GraphSpec, char_cap: int = CHAR_CAP) -> Spectrum:
     and lambda_0 = |R_k| = n is the principal eigenvalue.  Multiplying gamma
     by a k-th power permutes R_k, so lambda_gamma depends only on the coset
     of dlog(gamma) mod k; one sum per coset covers all q characters, each
-    coset accounting for n of them.  A coset's sum is exact counts of its
-    traces times the p values of the character, added with compensation.
-    Every sum must round to an integer with residual below 1e-6.
+    coset accounting for n of them.  A coset's sum is a Gauss period
+    sum_t N(t) zeta_p^t over the counts N(t) of its traces; since
+    1, zeta_p, ..., zeta_p^(p-2) are a basis of Q(zeta_p), it is an integer
+    exactly when N(1) = ... = N(p-1), and then equals N(0) - N(1).  Counts
+    that differ raise NonIntegral with their spread max - min as residual.
     """
     if g.variant is not Variant.GP:
         raise BadInput("char_sum_spectrum expects the GP variant")
@@ -175,18 +177,13 @@ def char_sum_spectrum(g: GraphSpec, char_cap: int = CHAR_CAP) -> Spectrum:
     if (q - 1) % g.k != 0:
         raise BadK(f"k = {g.k} does not divide q - 1 = {q - 1}")
     n = (q - 1) // g.k
-    cos_t = [math.cos(2 * math.pi * t / g.p) for t in range(g.p)]
-    sin_t = [math.sin(2 * math.pi * t / g.p) for t in range(g.p)]
 
     pairs = [(n, 1)]
     for counts in _coset_trace_counts(make_field(g.p, g.m), g.k):
-        re = math.fsum(c * cos_t[t] for t, c in enumerate(counts))
-        im = math.fsum(c * sin_t[t] for t, c in enumerate(counts))
-        val = round(re)
-        residual = max(abs(im), abs(re - val))
-        if residual >= 1e-6:
-            raise NonIntegral(residual)
-        pairs.append((val, n))
+        spread = max(counts[1:]) - min(counts[1:])
+        if spread:
+            raise NonIntegral(spread)
+        pairs.append((counts[0] - counts[1], n))
     return Spectrum.from_pairs(pairs, n, q, loops=0)
 
 
@@ -360,7 +357,12 @@ def code_weight_distribution(k: int, p: int, m: int,
 def weight_eigenvalue_check(k: int, p: int, m: int, char_cap: int = CHAR_CAP) -> bool:
     """True iff mapping weights through  lambda = n - p*w/(p-1)  reproduces
     the character-sum spectrum exactly, frequencies as multiplicities; both
-    oracles run under char_cap."""
+    oracles run under char_cap.
+
+    Both read the same trace counts, and the exact character sums admit only
+    counts with N(1) = ... = N(p-1), so w = n - N(0) = (p-1)*N(1) and the map
+    gives N(0) - N(1) by algebra: the check is an identity.  It stays because
+    the benchmark's oracle-verify workload calls it."""
     dist = code_weight_distribution(k, p, m, char_cap=char_cap)
     q = p ** m
     n = (q - 1) // k

@@ -9,12 +9,13 @@ import math
 import time
 
 from conftest import in_scope_instances
-from gpspec.energy import energy, energy_bounds, is_complementary_equienergetic, semiprimitive_energy
+from gpspec.energy import energy_bounds, is_complementary_equienergetic, semiprimitive_energy
 from gpspec.family import find_equienergetic_family
 from gpspec.ff import HypothesisCase, is_semiprimitive, theorem_hypotheses
-from gpspec.lift import derived_ab, derived_cd, derived_spectrum_k3, derived_spectrum_k4
+from gpspec.lift import family_base, levels
 from gpspec.oracle import build_graph, char_sum_spectrum, dense_spectrum, weight_eigenvalue_check
-from gpspec.spectra import GraphSpec, Variant, gp_spectrum, gpsum_spectrum
+from gpspec.spectra import (GraphSpec, Variant, gp_spectrum, gpsum_spectrum, k3_case_a_eigenvalues,
+                            k4_case_a_eigenvalues)
 
 
 class _Budget:
@@ -62,19 +63,17 @@ def test_criterion_2_table_reproduction():
               4: (-527, 168, {202656, -7344, -262344, 67031}),
               5: (237, -1558, {-2427344, 7310156, -2071094, -2811719})}
     with _Budget(2, "tables 1-3 from base solutions only", 1.0):
-        for ell, (a, b, lams) in table1.items():
-            assert derived_ab(7, 3, 1, ell) == (a, b)
-            if ell >= 1:
-                got = {v for v, _ in derived_spectrum_k3(7, 3, 1, ell).nonprincipal()}
-                assert got == lams
-        for ell, (a, b, lams) in table2.items():
-            assert derived_ab(31, 1, 0, ell) == (a, b)
-            got = {v for v, _ in derived_spectrum_k3(31, 1, 0, ell).nonprincipal()}
-            assert got == lams
-        for ell, (c, d, lams) in table3.items():
-            assert derived_cd(5, ell) == (c, d)
-            got = {v for v, _ in derived_spectrum_k4(5, ell).nonprincipal()}
-            assert got == lams
+        rows1 = [(0, 7, family_base(7, 3, 3, 1)[2])] + [(lvl.ell, lvl.root, lvl.pair)
+                                                      for lvl in levels(7, 3, 4, 3, 1)]
+        rows2 = [(lvl.ell, lvl.root, lvl.pair) for lvl in levels(31, 3, 5)]
+        rows3 = [(lvl.ell, lvl.root, lvl.pair) for lvl in levels(5, 4, 5)]
+        for table, rows, eigenvalues in ((table1, rows1, k3_case_a_eigenvalues),
+                                         (table2, rows2, k3_case_a_eigenvalues),
+                                         (table3, rows3, k4_case_a_eigenvalues)):
+            assert [ell for ell, _, _ in rows] == list(table)
+            for ell, root, pair in rows:
+                assert pair == table[ell][:2]
+                assert set(eigenvalues(root, *pair)) == table[ell][2]
 
 
 def test_criterion_3_oracle_triple_agreement():
@@ -126,7 +125,7 @@ def test_criterion_7_semiprimitive_law():
                     s = gp_spectrum(GraphSpec(k, p, m))
                     report = is_complementary_equienergetic(s)
                     assert report.equienergetic is (m % 4 == 2), (k, p, m)
-                    assert semiprimitive_energy(k, p, m) == energy(s), (k, p, m)
+                    assert semiprimitive_energy(k, p, m) == s.energy(), (k, p, m)
 
 
 def test_criterion_8_family_search():
@@ -162,21 +161,21 @@ def test_criterion_9_property_suites():
                 assert dict(s.entries)[s.principal] == 1
         # lift invariants to level 64
         for (p, t, s) in ((7, 3, 0), (7, 3, 1), (31, 1, 0)):
-            for ell in range(1, 65):
-                a, b = derived_ab(p, t, s, ell)
-                assert a * a + 27 * b * b == 4 * p ** (t * ell + s)
+            for lvl in levels(p, 3, 64, t, s):
+                a, b = lvl.pair
+                assert a * a + 27 * b * b == 4 * p ** (t * lvl.ell + s)
                 assert a % 3 == 1 and math.gcd(a, p) == 1
         for p in (5, 13):
-            for ell in range(1, 65):
-                c, d = derived_cd(p, ell)
-                assert c * c + 4 * d * d == p ** (2 * ell)
+            for lvl in levels(p, 4, 64):
+                c, d = lvl.pair
+                assert c * c + 4 * d * d == p ** (2 * lvl.ell)
                 assert c % 4 == 1 and math.gcd(c, p) == 1
         # bounds sandwich on every case-(a) instance
         for (k, p, m) in in_scope_instances(10 ** 6):
             if is_semiprimitive(k, p):
                 continue
             lower, upper = energy_bounds(k, p, m)
-            assert lower <= energy(gp_spectrum(GraphSpec(k, p, m))) <= upper, (k, p, m)
+            assert lower <= gp_spectrum(GraphSpec(k, p, m)).energy() <= upper, (k, p, m)
         # interval hit implies equienergy on every witness
         for (p, k, s) in ((7, 3, 1), (31, 3, 0), (5, 4, 0), (17, 4, 0)):
             for w in find_equienergetic_family(p, k, s=s, ell_max=200):

@@ -12,7 +12,7 @@ from gpspec import dioph
 from gpspec.dioph import QFForm, QFRep, is_cubic_residue, minimal_t, solve_ab, solve_cd
 from gpspec.errors import BadInput, BadP, NoSolution
 from gpspec.ff import is_prime
-from gpspec.lift import derived_ab, derived_cd, levels
+from gpspec.lift import levels
 from gpspec.spectra import GraphSpec, gp_spectrum
 from referees import power_components, scan_ab, scan_cd, scan_minimal_t, scan_steps
 
@@ -174,17 +174,15 @@ def _solved_pairs(p: int, k: int, source: str, n: int) -> list[tuple[int, int, i
         return [(n, *_pair_at(p, k, n))]
     t = minimal_t(p)[0] if k == 3 else 1
     s = n % t
-    if source == "levels":
-        return [(t * lvl.ell + s, *lvl.pair) for lvl in levels(p, k, 6, s=s)]
-    return [(t * n + s, *(derived_ab(p, t, s, n) if k == 3 else derived_cd(p, n)))]
+    return [(t * lvl.ell + s, *lvl.pair) for lvl in levels(p, k, 6, s=s)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data(), k=st.sampled_from([3, 4]),
-       source=st.sampled_from(["solve", "levels", "derived"]), n=st.integers(1, 8))
+       source=st.sampled_from(["solve", "levels"]), n=st.integers(1, 8))
 def test_check_pair_accepts_solved_pairs_and_rejects_single_faults(data, k, source, n):
-    """``dioph.check_pair`` passes every pair of solve_ab, solve_cd, levels
-    and derived_* for p < 500, and rejects one fault at a time: the norm off
+    """``dioph.check_pair`` passes every pair of solve_ab, solve_cd and levels
+    for p < 500, and rejects one fault at a time: the norm off
     by one, x = -1 (mod k) (the pair (-x, y)), and p | x (p times the pair
     of the exponent whose target is p^2 times smaller)."""
     p = data.draw(st.sampled_from(P_K[k]))

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import in_scope_instances
 from gpspec.dioph import QFForm, QFRep, solve_ab, solve_cd
-from gpspec.energy import (corollary_condition, energy, energy_bounds,
+from gpspec.energy import (corollary_condition, energy_bounds,
                            is_complementary_equienergetic, semiprimitive_energy)
 from gpspec.errors import BadInput, OutOfScope
 from gpspec.ff import HypothesisCase, is_semiprimitive, theorem_hypotheses
@@ -14,15 +14,15 @@ from gpspec.spectra import GraphSpec, Spectrum, Variant, gp_spectrum, gpsum_spec
 
 class TestEnergy:
     def test_gp_3_343(self):
-        assert energy(gp_spectrum(GraphSpec(3, 7, 3))) == 2736  # 114*(1+9+2+12)
+        assert gp_spectrum(GraphSpec(3, 7, 3)).energy() == 2736  # 114*(1+9+2+12)
 
     def test_gp_3_64(self):
-        assert energy(gp_spectrum(GraphSpec(3, 2, 6))) == 252  # 21 + 21*5 + 42*3
+        assert gp_spectrum(GraphSpec(3, 2, 6)).energy() == 252  # 21 + 21*5 + 42*3
 
     def test_all_zero_spectrum(self):
         # the single-vertex graph: the only all-zero spectrum with a
         # multiplicity-1 principal (which the Spectrum type requires)
-        assert energy(Spectrum(((0, 1),), 0, 1)) == 0
+        assert Spectrum(((0, 1),), 0, 1).energy() == 0
 
 
 class TestSemiprimitiveEnergy:
@@ -41,7 +41,7 @@ class TestSemiprimitiveEnergy:
     def test_matches_direct_energy_everywhere(self):
         for (k, p, m) in in_scope_instances(10 ** 6):
             if is_semiprimitive(k, p):
-                assert semiprimitive_energy(k, p, m) == energy(gp_spectrum(GraphSpec(k, p, m)))
+                assert semiprimitive_energy(k, p, m) == gp_spectrum(GraphSpec(k, p, m)).energy()
 
 
 class TestEnergyBounds:
@@ -53,11 +53,11 @@ class TestEnergyBounds:
     def test_gp_4_625(self):
         lower, upper = energy_bounds(4, 5, 4)
         assert (lower, upper) == (4056, 9516)  # 156*26 and 156*(26 + (3+4)*5)
-        assert lower <= energy(gp_spectrum(GraphSpec(4, 5, 4))) == 5616 <= upper
+        assert lower <= gp_spectrum(GraphSpec(4, 5, 4)).energy() == 5616 <= upper
 
     def test_gp_3_7_power_6_sandwich(self):
         lower, upper = energy_bounds(3, 7, 6)
-        e = energy(gp_spectrum(GraphSpec(3, 7, 6)))
+        e = gp_spectrum(GraphSpec(3, 7, 6)).energy()
         assert lower <= e <= upper
 
     def test_rejects_semiprimitive(self):
@@ -76,7 +76,7 @@ class TestEnergyBounds:
         for (k, p, m) in in_scope_instances(10 ** 6):
             if theorem_hypotheses(k, p, m) in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
                 lower, upper = energy_bounds(k, p, m)
-                e = energy(gp_spectrum(GraphSpec(k, p, m)))
+                e = gp_spectrum(GraphSpec(k, p, m)).energy()
                 assert lower <= e <= upper, (k, p, m)
 
     def test_bounds_are_exact_rationals(self):
@@ -134,8 +134,8 @@ class TestEquienergeticDecision:
 
     def test_gp_and_gpsum_are_equienergetic(self):
         for (k, p, m) in in_scope_instances(10 ** 5):
-            e_gp = energy(gp_spectrum(GraphSpec(k, p, m)))
-            e_sum = energy(gpsum_spectrum(GraphSpec(k, p, m, Variant.GPSUM)))
+            e_gp = gp_spectrum(GraphSpec(k, p, m)).energy()
+            e_sum = gpsum_spectrum(GraphSpec(k, p, m, Variant.GPSUM)).energy()
             assert e_gp == e_sum, (k, p, m)
 
 

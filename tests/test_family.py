@@ -111,14 +111,13 @@ class TestWitnessProperties:
 
     def test_sign_decision_matches_spectrum_energies(self):
         from gpspec.energy import is_complementary_equienergetic
-        from gpspec.lift import derived_spectrum_k3, derived_spectrum_k4
+        from gpspec.lift import level_exponent
+        from gpspec.spectra import GraphSpec, spectrum_of
 
-        for w in find_equienergetic_family(31, 3, ell_max=4):
-            report = is_complementary_equienergetic(derived_spectrum_k3(31, 1, 0, w.ell))
-            assert report.equienergetic is w.equienergetic
-        for w in find_equienergetic_family(5, 4, ell_max=4):
-            report = is_complementary_equienergetic(derived_spectrum_k4(5, w.ell))
-            assert report.equienergetic is w.equienergetic
+        for p, k in ((31, 3), (5, 4)):
+            for w in find_equienergetic_family(p, k, ell_max=4):
+                g = GraphSpec(k, p, level_exponent(p, k, w.ell))
+                assert is_complementary_equienergetic(spectrum_of(g)).equienergetic is w.equienergetic
 
 
 class TestDecimalDigits:
