@@ -56,7 +56,7 @@ from .energy import (EnergyReport, energy_bounds, is_complementary_equienergetic
 from .errors import GPSpecError
 from .family import ELL_MAX, FamilyWitness, find_equienergetic_family
 from .ff import HypothesisCase, theorem_hypotheses
-from .spectra import (GraphSpec, Spectrum, Variant, case_a_rep, k3_case_a_eigenvalues,
+from .spectra import (GraphSpec, Spectrum, Variant, k3_case_a_eigenvalues,
                       k4_case_a_eigenvalues, spectrum_of)
 
 _ENV_PREFIX = "GPSPEC_"
@@ -352,13 +352,10 @@ cmd_verify = cmd_spectrum
 def cmd_energy(args) -> tuple[str, int]:
     g = _resolve_graph(args)
     case = theorem_hypotheses(g.k, g.p, g.m)
-    # in case A the spectrum and the bounds share one norm-form solve
-    rep = case_a_rep(g.k, g.p, g.m) if case in (HypothesisCase.K3_CASE_A,
-                                                HypothesisCase.K4_CASE_A) else None
-    e = spectrum_of(g, rep).energy()
+    e = spectrum_of(g).energy()
     lower = upper = exact = None
-    if rep is not None:
-        lower, upper = energy_bounds(g.k, g.p, g.m, rep)
+    if case in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
+        lower, upper = energy_bounds(g.k, g.p, g.m)
     elif case in (HypothesisCase.K3_CASE_B, HypothesisCase.K4_CASE_B) and g.variant in (
             Variant.GP, Variant.GPSUM):
         exact = semiprimitive_energy(g.k, g.p, g.m)

@@ -78,10 +78,11 @@ def check_pair(p: int, k: int, e: int, x: int, y: int) -> None:
 
 def belongs(rep: QFRep, k: int, q: int) -> bool:
     """Whether rep has the form of k and the norm target of GP(k, q), q = p^(k e):
-    4 q^(1/3) (k = 3) or q^(1/2) (k = 4), tested as target^3 = 64 q or target^2 = q."""
+    4 q^(1/3) (k = 3) or q^(1/2) (k = 4), tested as target^3 = 64 q or target^2 = q, a square."""
     if rep.form is not _FORM.get(k):
         return False
-    return rep.target ** 3 == 64 * q if k == 3 else rep.target ** 2 == q
+    return (rep.target ** 3 == 64 * q if k == 3
+            else rep.target ** 2 == q and math.isqrt(rep.target) ** 2 == rep.target)
 
 
 def mul_pair(u, v, coeff):

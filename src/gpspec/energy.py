@@ -12,6 +12,7 @@ semiprimitive case, where the multiplicities are unequal).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,23 +54,21 @@ def semiprimitive_energy(k: int, p: int, m: int) -> int:
     return _exact_div(num, den)
 
 
-def energy_bounds(k: int, p: int, m: int,
-                  rep: dioph.QFRep | None = None) -> tuple[Fraction, Fraction]:
+def energy_bounds(k: int, p: int, m: int) -> tuple[Fraction, Fraction]:
     """Exact lower/upper energy bounds in the case p = 1 (mod k).
 
     k=3:  n(1 + |2a*r + 1|/3)  <=  E  <=  n(1 + (2/3)(|a|r + 1) + 3|b|r)
     k=4:  n(r^2 + 1)           <=  E  <=  n(r^2 + 1 + (|c| + 2|d|) r)
 
     with r the k-th root of q and (a, b) resp. (c, d) the quadratic-form
-    pair of the spectrum formulas: rep when the caller passes the pair its
-    spectrum used (``spectra.case_a_rep``), else solved here.
+    pair of the spectrum formulas (``spectra.case_a_rep``).
     """
     case = require_in_scope(k, p, m)
     if case not in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
         raise OutOfScope(f"(k={k}, p={p}) has no bound form (semiprimitive case is exact)")
     q = p ** m
     n = (q - 1) // k
-    rep = case_a_rep(k, p, m, rep)
+    rep = case_a_rep(k, p, m)
     if k == 3:
         r = p ** (m // 3)
         lower = n * (1 + Fraction(abs(2 * rep.x * r + 1), 3))
@@ -105,19 +104,26 @@ def is_complementary_equienergetic(s: Spectrum) -> EnergyReport:
     )
 
 
-def corollary_condition(k: int, rep: dioph.QFRep, q: int) -> bool:
-    """Sufficient condition for complementary equienergy from the pair alone.
+def case_a_equienergetic(k: int, root: int, x: int, y: int) -> bool:
+    """Whether GP(k, root^k) in case A is complementary equienergetic: the sign
+    criterion, read off the pair (x, y) of its closed formulas.
 
-    k=3:  a > 9|b|, or a < 0 with -a < 9|b|.
-    k=4:  3c^2 < 4d^2  (the exact form of |c| < (2/sqrt(3))|d|).
-
-    The representation must belong to q (``dioph.belongs``).
+    k=3:  x > 9|y| or -9|y| < x < 0; the eigenvalues have the signs of x, -(x +- 9y).
+    k=4:  2|x| < root, i.e. 3x^2 < 4y^2 as root^2 = x^2 + 4y^2; the eigenvalues
+          have the signs of root +- 4y and -root +- 2x, and 2|x| < root forces 4|y| > root.
     """
+    if k == 3:
+        return x > 9 * abs(y) or -9 * abs(y) < x < 0
+    return 2 * abs(x) < root
+
+
+def corollary_condition(k: int, rep: dioph.QFRep, q: int) -> bool:
+    """Necessary and sufficient condition in case A for complementary equienergy
+    of GP(k, q), from the pair alone: ``case_a_equienergetic`` at root q^(1/k).
+    The representation must belong to q (``dioph.belongs``)."""
     if k not in (3, 4):
         raise OutOfScope(f"k = {k} not in {{3, 4}}")
     if not dioph.belongs(rep, k, q):
         raise OutOfScope(f"representation {rep} does not match k={k}, q={q}")
-    if k == 3:
-        a, b = rep.x, rep.y
-        return a > 9 * abs(b) or (a < 0 and -a < 9 * abs(b))
-    return 3 * rep.x * rep.x < 4 * rep.y * rep.y
+    root = rep.target // 4 if k == 3 else math.isqrt(rep.target)
+    return case_a_equienergetic(k, root, rep.x, rep.y)

@@ -1,9 +1,9 @@
 """Search for complementary-equienergetic members of the lifted families.
 
-Equienergy at level ell is decided purely from the sign pattern of the
-closed-form eigenvalue expressions, i.e. from integer inequalities on the
-level pair (a, b) or (c, d) - never from a q-sized spectrum - so probing
-ell in the hundreds stays cheap even though q is astronomically large.
+Equienergy at level ell is decided by ``energy.case_a_equienergetic``, the
+criterion of ``energy.corollary_condition``: integer inequalities on the level
+pair (a, b) or (c, d), never a q-sized spectrum, so probing ell in the
+hundreds stays cheap even though q is astronomically large.
 
 The argument-interval sufficient conditions are likewise exact integer
 inequalities (no transcendental function is evaluated for them):
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .energy import case_a_equienergetic
 from .errors import BadInput
 from .lift import levels
 
@@ -61,17 +62,6 @@ def interval_test_k4(c: int, d: int) -> bool:
     return c > 0 and d > 0 and 4 * d * d > 3 * c * c
 
 
-def _k3_sign_count(a: int, b: int) -> int:
-    """Positives among the non-principal eigenvalues of the k=3 formulas;
-    the signs are those of a, -(a+9b), -(a-9b) since |alpha * r| > 1."""
-    return (a > 0) + (a + 9 * b < 0) + (a - 9 * b < 0)
-
-
-def _k4_sign_count(p_ell: int, c: int, d: int) -> int:
-    """Positives among the k=4 non-principal eigenvalues at level ell."""
-    return (p_ell + 4 * d > 0) + (p_ell - 4 * d > 0) + (2 * c - p_ell > 0) + (-2 * c - p_ell > 0)
-
-
 def decimal_digits(n: int) -> int:
     """len(str(n)) for n >= 1 without str(), which is quadratic in the
     digit count and refused beyond 4300 digits by default.  math.log10(n)
@@ -96,13 +86,12 @@ def find_equienergetic_family(p: int, k: int, t: int | None = None, s: int = 0,
     witnesses = []
     for lvl in levels(p, k, ell_max, t, s):
         x, y = lvl.pair
+        equi = case_a_equienergetic(k, lvl.root, x, y)
         if k == 4:
             hit = interval_test_k4(x, y)
-            equi = _k4_sign_count(lvl.root, x, y) == 1
         else:
             hit = (interval_test_k3(*lvl.raw, Regime.S_ZERO) if s == 0
                    else interval_test_k3(x, y, Regime.S_POSITIVE))
-            equi = _k3_sign_count(x, y) == 1
         if hit and not equi:
             raise AssertionError(f"interval hit without equienergy at ell = {lvl.ell}")
         witnesses.append(FamilyWitness(

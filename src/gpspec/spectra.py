@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import dioph
-from .errors import BadInput, HasLoops, NonIntegralEigenvalue, OutOfScope
+from .errors import HasLoops, NonIntegralEigenvalue, OutOfScope
 from .ff import HypothesisCase, out_of_scope_reason, theorem_hypotheses
 
 
@@ -106,16 +106,11 @@ def require_in_scope(k: int, p: int, m: int) -> HypothesisCase:
     return case
 
 
-def case_a_rep(k: int, p: int, m: int, rep: dioph.QFRep | None = None) -> dioph.QFRep:
+def case_a_rep(k: int, p: int, m: int) -> dioph.QFRep:
     """The norm-form pair of the case A formulas for q = p^m: (a, b) with
     4 q^(1/3) = a^2 + 27 b^2 (k = 3), or (c, d) with q^(1/2) = c^2 + 4 d^2
-    (k = 4).  A pair the caller already holds is checked to belong to q
-    (``dioph.belongs``) and returned as it is, so the solve runs once per graph."""
-    if rep is None:
-        return dioph.solve_ab(p, m // 3) if k == 3 else dioph.solve_cd(p, m // 4)
-    if not dioph.belongs(rep, k, p ** m):
-        raise BadInput(f"representation {rep} does not belong to k={k}, q={p}^{m}")
-    return rep
+    (k = 4)."""
+    return dioph.solve_ab(p, m // 3) if k == 3 else dioph.solve_cd(p, m // 4)
 
 
 def k3_case_a_eigenvalues(r: int, a: int, b: int) -> tuple[int, int, int]:
@@ -160,14 +155,13 @@ def k4_case_a_spectrum(r: int, c: int, d: int) -> Spectrum:
     return _case_a_spectrum(4, r, c, d)
 
 
-def gp_spectrum(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
-    """Exact spectrum of GP(k, q) by the closed formulas; in case A from rep,
-    the pair of ``case_a_rep``, when the caller has solved it already."""
+def gp_spectrum(g: GraphSpec) -> Spectrum:
+    """Exact spectrum of GP(k, q) by the closed formulas (case A: ``case_a_rep``)."""
     if g.variant is not Variant.GP:
         raise ValueError("gp_spectrum expects the GP variant")
     case = require_in_scope(g.k, g.p, g.m)
     if case in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
-        rep = case_a_rep(g.k, g.p, g.m, rep)
+        rep = case_a_rep(g.k, g.p, g.m)
         return _case_a_spectrum(g.k, g.p ** (g.m // g.k), rep.x, rep.y)
 
     # semiprimitive branches: strongly regular, three distinct eigenvalues
@@ -187,7 +181,7 @@ def gp_spectrum(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
     return Spectrum.from_pairs([(n, 1)] + pairs, n, q)
 
 
-def gpsum_spectrum(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
+def gpsum_spectrum(g: GraphSpec) -> Spectrum:
     """Spectrum of the sum graph GP+(k, q).
 
     q even: identical to GP(k, q).  q odd: the principal survives with
@@ -196,7 +190,7 @@ def gpsum_spectrum(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
     """
     if g.variant is not Variant.GPSUM:
         raise ValueError("gpsum_spectrum expects the GPSUM variant")
-    base = gp_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GP), rep)
+    base = gp_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GP))
     if g.q % 2 == 0:
         return base
     n = base.principal
@@ -221,13 +215,12 @@ def complement_spectrum(s: Spectrum) -> Spectrum:
     return Spectrum.from_pairs(pairs, n_bar, s.order)
 
 
-def spectrum_of(g: GraphSpec, rep: dioph.QFRep | None = None) -> Spectrum:
-    """Closed-form spectrum of any variant (complements via the shift rule);
-    rep as for ``gp_spectrum``."""
+def spectrum_of(g: GraphSpec) -> Spectrum:
+    """Closed-form spectrum of any variant (complements via the shift rule)."""
     if g.variant is Variant.GP:
-        return gp_spectrum(g, rep)
+        return gp_spectrum(g)
     if g.variant is Variant.GPSUM:
-        return gpsum_spectrum(g, rep)
+        return gpsum_spectrum(g)
     if g.variant is Variant.GP_COMPLEMENT:
-        return complement_spectrum(gp_spectrum(GraphSpec(g.k, g.p, g.m), rep))
-    return complement_spectrum(gpsum_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GPSUM), rep))
+        return complement_spectrum(gp_spectrum(GraphSpec(g.k, g.p, g.m)))
+    return complement_spectrum(gpsum_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GPSUM)))

@@ -119,20 +119,6 @@ class TestEnergyCommand:
         d = json.loads(out)
         assert d["energy"] == "280" and d["semiprimitive_exact"] == "280"
 
-    @pytest.mark.parametrize("argv", [["-k", "3", "-p", "97", "-m", "18"],
-                                      ["-k", "4", "-p", "37", "-m", "16"]])
-    def test_one_norm_form_solve(self, argv, capsys, monkeypatch):
-        """The spectrum and the bounds share one solve (the golden file pins the output)."""
-        from gpspec import dioph
-
-        calls = []
-        for name in ("solve_ab", "solve_cd"):
-            solve = getattr(dioph, name)
-            monkeypatch.setattr(dioph, name, lambda *a, solve=solve: calls.append(a) or solve(*a))
-        code, out, _ = run_cli(["energy", *argv], capsys)
-        assert code == 0 and "bounds:" in out
-        assert len(calls) == 1
-
 
 class TestEquienergeticCommand:
     @pytest.mark.parametrize("args,verdict", [

@@ -1,15 +1,19 @@
-"""Energies, bounds, the sign criterion and the sufficient condition."""
+"""Energies, bounds, the sign criterion and the case A condition on the pair."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import in_scope_instances
+from conftest import in_scope_instances, primes_upto
 from gpspec.dioph import QFForm, QFRep, solve_ab, solve_cd
 from gpspec.energy import (corollary_condition, energy_bounds,
                            is_complementary_equienergetic, semiprimitive_energy)
-from gpspec.errors import BadInput, OutOfScope
+from gpspec.errors import OutOfScope
 from gpspec.ff import HypothesisCase, is_semiprimitive, theorem_hypotheses
-from gpspec.spectra import GraphSpec, Spectrum, Variant, gp_spectrum, gpsum_spectrum
+from gpspec.spectra import GraphSpec, Spectrum, Variant, case_a_rep, gp_spectrum, gpsum_spectrum
+
+P_CASE_A = {k: [p for p in primes_upto(2000) if p % k == 1] for k in (3, 4)}
 
 
 class TestEnergy:
@@ -63,14 +67,6 @@ class TestEnergyBounds:
     def test_rejects_semiprimitive(self):
         with pytest.raises(OutOfScope):
             energy_bounds(3, 2, 4)
-
-    def test_given_pair_is_the_solved_one_or_rejected(self):
-        assert energy_bounds(3, 7, 6, solve_ab(7, 2)) == energy_bounds(3, 7, 6)
-        assert energy_bounds(4, 5, 8, solve_cd(5, 2)) == energy_bounds(4, 5, 8)
-        for k, p, m, rep in [(3, 7, 6, solve_ab(7, 1)), (4, 5, 8, solve_cd(5, 1)),
-                             (3, 7, 3, solve_cd(5, 1))]:
-            with pytest.raises(BadInput):
-                energy_bounds(k, p, m, rep)
 
     def test_sandwich_on_every_case_a_instance(self):
         for (k, p, m) in in_scope_instances(10 ** 6):
@@ -161,17 +157,37 @@ class TestCorollaryCondition:
             corollary_condition(3, solve_ab(7, 1), 7 ** 6)
         with pytest.raises(OutOfScope):
             corollary_condition(4, QFRep(QFForm.X2_27Y2, 28, 1, 1), 7 ** 3)
+        with pytest.raises(OutOfScope):  # 5 = 1 + 4 is q^(1/2) for q = 25, not a fourth power
+            corollary_condition(4, QFRep(QFForm.X2_4Y2, 5, 1, 1), 25)
+
+    @staticmethod
+    def case_a_verdicts():
+        """(instance, condition, equienergetic) over the in-scope case-(a) instances."""
+        for (k, p, m) in in_scope_instances(10 ** 6):
+            if theorem_hypotheses(k, p, m) in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
+                report = is_complementary_equienergetic(gp_spectrum(GraphSpec(k, p, m)))
+                yield (k, p, m), corollary_condition(k, case_a_rep(k, p, m), p ** m), report.equienergetic
 
     def test_sufficiency(self):
-        # condition true => equienergetic, across in-scope case-(a) instances
-        for (k, p, m) in in_scope_instances(10 ** 6):
-            case = theorem_hypotheses(k, p, m)
-            if case is HypothesisCase.K3_CASE_A:
-                rep = solve_ab(p, m // 3)
-            elif case is HypothesisCase.K4_CASE_A:
-                rep = solve_cd(p, m // 4)
-            else:
-                continue
-            if corollary_condition(k, rep, p ** m):
-                report = is_complementary_equienergetic(gp_spectrum(GraphSpec(k, p, m)))
-                assert report.equienergetic, (k, p, m)
+        # condition true => equienergetic
+        for instance, condition, equienergetic in self.case_a_verdicts():
+            assert equienergetic or not condition, instance
+
+    def test_necessity(self):
+        # equienergetic => condition true; both verdicts occur
+        verdicts = list(self.case_a_verdicts())
+        for instance, condition, equienergetic in verdicts:
+            assert condition or not equienergetic, instance
+        assert len(verdicts) == 17 and {e for *_, e in verdicts} == {True, False}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.sampled_from([3, 4]), e=st.integers(1, 40))
+def test_corollary_condition_is_the_spectrum_verdict(data, k, e):
+    """In case A the pair's condition and the spectrum's energies agree, for
+    p = 1 (mod k) below 2000 and q = p^(k e)."""
+    p = data.draw(st.sampled_from(P_CASE_A[k]))
+    m = k * e
+    condition = corollary_condition(k, case_a_rep(k, p, m), p ** m)
+    report = is_complementary_equienergetic(gp_spectrum(GraphSpec(k, p, m)))
+    assert condition is report.equienergetic

@@ -114,9 +114,9 @@ class TestWitnessProperties:
         from gpspec.lift import level_exponent
         from gpspec.spectra import GraphSpec, spectrum_of
 
-        for p, k in ((31, 3), (5, 4)):
-            for w in find_equienergetic_family(p, k, ell_max=4):
-                g = GraphSpec(k, p, level_exponent(p, k, w.ell))
+        for p, k, s in ((31, 3, 0), (7, 3, 1), (7, 3, 2), (5, 4, 0), (13, 4, 0), (17, 4, 0)):
+            for w in find_equienergetic_family(p, k, s=s, ell_max=4):
+                g = GraphSpec(k, p, level_exponent(p, k, w.ell, s=s))
                 assert is_complementary_equienergetic(spectrum_of(g)).equienergetic is w.equienergetic
 
 
