@@ -67,40 +67,11 @@ _CAPS = {"dense_cap": (oracle.DENSE_CAP, 1), "char_cap": (oracle.CHAR_CAP, 1),
 
 
 # ---------------------------------------------------------------------------
-# Serialization (all big integers as exact decimal strings)
+# Rendering (in JSON all big integers are exact decimal strings)
 # ---------------------------------------------------------------------------
 
-def spectrum_to_dict(s: Spectrum, graph: GraphSpec | None = None) -> dict:
-    d = {
-        "spectrum": [{"value": str(v), "mult": str(e)} for v, e in s.entries],
-        "principal": str(s.principal),
-        "order": str(s.order),
-        "loops": str(s.loops),
-        "energy": str(s.energy()),
-    }
-    if graph is not None:
-        d["graph"] = {"k": graph.k, "p": graph.p, "m": graph.m, "variant": graph.variant.value}
-    return d
-
-
-def report_to_dict(r: EnergyReport) -> dict:
-    return {
-        "energy": str(r.energy),
-        "complement_energy": str(r.complement_energy),
-        "positive_nonprincipal_count": r.positive_nonprincipal_count,
-        "equienergetic": r.equienergetic,
-        "criterion_agrees": r.criterion_agrees,
-    }
-
-
-def witness_to_dict(w: FamilyWitness) -> dict:
-    return {
-        "p": w.p, "k": w.k, "t": w.t, "s": w.s, "ell": w.ell,
-        "pair": [str(w.pair[0]), str(w.pair[1])],
-        "equienergetic": w.equienergetic,
-        "interval_hit": w.interval_hit,
-        "q_digits": w.q_digits,
-    }
+def _graph_dict(g: GraphSpec) -> dict:
+    return {"k": g.k, "p": g.p, "m": g.m, "variant": g.variant.value}
 
 
 def _json_line(d: dict) -> str:
@@ -111,17 +82,16 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
 def _graph_label(g: GraphSpec) -> str:
     return f"{g.variant.value} k={g.k} p={g.p} m={g.m} (q = {g.p}^{g.m})"
 
 
 def render_spectrum(s: Spectrum, g: GraphSpec, fmt: str) -> str:
     if fmt == "json":
-        return _json_line(spectrum_to_dict(s, g))
+        return _json_line({
+            "spectrum": [{"value": str(v), "mult": str(e)} for v, e in s.entries],
+            "principal": str(s.principal), "order": str(s.order), "loops": str(s.loops),
+            "energy": str(s.energy()), "graph": _graph_dict(g)})
     if fmt == "csv":
         lines = ["eigenvalue,multiplicity"]
         lines += [f"{v},{e}" for v, e in s.entries]
@@ -135,9 +105,11 @@ def render_spectrum(s: Spectrum, g: GraphSpec, fmt: str) -> str:
 
 def render_report(r: EnergyReport, g: GraphSpec, fmt: str) -> str:
     if fmt == "json":
-        d = report_to_dict(r)
-        d["graph"] = {"k": g.k, "p": g.p, "m": g.m, "variant": g.variant.value}
-        return _json_line(d)
+        return _json_line({
+            "energy": str(r.energy), "complement_energy": str(r.complement_energy),
+            "positive_nonprincipal_count": r.positive_nonprincipal_count,
+            "equienergetic": r.equienergetic, "criterion_agrees": r.criterion_agrees,
+            "graph": _graph_dict(g)})
     if fmt == "csv":
         return ("energy,complement_energy,positive_nonprincipal_count,equienergetic,criterion_agrees\n"
                 f"{r.energy},{r.complement_energy},{r.positive_nonprincipal_count},"
@@ -152,7 +124,10 @@ def render_report(r: EnergyReport, g: GraphSpec, fmt: str) -> str:
 
 def render_witnesses(witnesses: list[FamilyWitness], fmt: str) -> str:
     if fmt == "json":
-        return _json_line({"witnesses": [witness_to_dict(w) for w in witnesses]})
+        return _json_line({"witnesses": [
+            {"p": w.p, "k": w.k, "t": w.t, "s": w.s, "ell": w.ell,
+             "pair": [str(w.pair[0]), str(w.pair[1])], "equienergetic": w.equienergetic,
+             "interval_hit": w.interval_hit, "q_digits": w.q_digits} for w in witnesses]})
     if fmt == "csv":
         lines = ["ell,x,y,q_digits,equienergetic,interval_hit"]
         lines += [f"{w.ell},{w.pair[0]},{w.pair[1]},{w.q_digits},{w.equienergetic},{w.interval_hit}"
@@ -175,53 +150,46 @@ def render_witnesses(witnesses: list[FamilyWitness], fmt: str) -> str:
 # Table reproduction
 # ---------------------------------------------------------------------------
 
-def table_csv(which: int) -> str:
-    """Byte-stable CSV of the three lifted-family tables.
+#: table -> (p, k, t, s, levels, comment lines) of its lifted family
+_TABLES = {
+    1: (7, 3, 3, 1, 4, (
+        "# table 1: GP(3, 7^(9*ell+3)) from base (x0,y0)=(10,3), (a0,b0)=(1,1); t=3, s=1",
+        "# eigenvalues: non-principal values, descending; principal is (q-1)/3",
+        "ell,a,b,q,eigenvalues")),
+    2: (31, 3, None, 0, 5, (
+        "# table 2: GP(3, 31^(3*ell)) from base (x0,y0)=(-2,1); t=1, s=0",
+        "# eigenvalues: non-principal values, descending; principal is n_ell = (31^(3*ell)-1)/3",
+        "# (n_ell is computed from that definition; quoted lists for this family elsewhere",
+        "#  can mistakenly repeat the p=7 family's principal values)",
+        "ell,a,b,q,eigenvalues")),
+    3: (5, 4, None, 0, 5, (
+        "# table 3: GP(4, 5^(4*ell)) from base (c1,d1)=(-3,2)",
+        "# eigenvalues: non-principal values in formula order",
+        "# ((q^(1/2)+4d*q^(1/4)-1)/4, (q^(1/2)-4d*q^(1/4)-1)/4,",
+        "#  (-q^(1/2)+2c*q^(1/4)-1)/4, (-q^(1/2)-2c*q^(1/4)-1)/4)",
+        "ell,c,d,eigenvalues")),
+}
 
-    Tables 1 and 2 list non-principal eigenvalues in descending order;
-    table 3 lists them in formula order.  Every row is a level of
-    ``lift.levels``, and table 1's level 0 (GP(3, 7^3)) is its base pair.
-    """
-    if which == 1:
-        lines = [
-            "# table 1: GP(3, 7^(9*ell+3)) from base (x0,y0)=(10,3), (a0,b0)=(1,1); t=3, s=1",
-            "# eigenvalues: non-principal values, descending; principal is (q-1)/3",
-            "ell,a,b,q,eigenvalues",
-        ]
-        base_ab = lift.family_base(7, 3, 3, 1)[2]
-        rows = [(0, base_ab, 7, 3)] + [(lvl.ell, lvl.pair, lvl.root, lvl.m)
-                                       for lvl in lift.levels(7, 3, 4, 3, 1)]
-        for ell, (a, b), root, m in rows:
-            lams = sorted(k3_case_a_eigenvalues(root, a, b), reverse=True)
-            lines.append(f"{ell},{a},{b},7^{m}," + ";".join(map(str, lams)))
-        return "\n".join(lines) + "\n"
-    if which == 2:
-        lines = [
-            "# table 2: GP(3, 31^(3*ell)) from base (x0,y0)=(-2,1); t=1, s=0",
-            "# eigenvalues: non-principal values, descending; principal is n_ell = (31^(3*ell)-1)/3",
-            "# (n_ell is computed from that definition; quoted lists for this family elsewhere",
-            "#  can mistakenly repeat the p=7 family's principal values)",
-            "ell,a,b,q,eigenvalues",
-        ]
-        for lvl in lift.levels(31, 3, 5):
-            a, b = lvl.pair
-            lams = sorted(k3_case_a_eigenvalues(lvl.root, a, b), reverse=True)
-            lines.append(f"{lvl.ell},{a},{b},31^{lvl.m}," + ";".join(map(str, lams)))
-        return "\n".join(lines) + "\n"
-    if which == 3:
-        lines = [
-            "# table 3: GP(4, 5^(4*ell)) from base (c1,d1)=(-3,2)",
-            "# eigenvalues: non-principal values in formula order",
-            "# ((q^(1/2)+4d*q^(1/4)-1)/4, (q^(1/2)-4d*q^(1/4)-1)/4,",
-            "#  (-q^(1/2)+2c*q^(1/4)-1)/4, (-q^(1/2)-2c*q^(1/4)-1)/4)",
-            "ell,c,d,eigenvalues",
-        ]
-        for lvl in lift.levels(5, 4, 5):
-            c, d = lvl.pair
-            lams = k4_case_a_eigenvalues(lvl.root, c, d)
-            lines.append(f"{lvl.ell},{c},{d}," + ";".join(map(str, lams)))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"no table {which}")
+
+def table_csv(which: int) -> str:
+    """Byte-stable CSV of a lifted-family table: a row per level of
+    ``lift.levels``, and level 0 from the base pair when s > 0 (table 1).
+    k = 3 rows list the non-principal eigenvalues in descending order and q,
+    k = 4 rows list them in formula order."""
+    if which not in _TABLES:
+        raise ValueError(f"no table {which}")
+    p, k, t, s, count, head = _TABLES[which]
+    lines = list(head)
+    rows = [(lvl.ell, lvl.pair, lvl.root, lvl.m) for lvl in lift.levels(p, k, count, t, s)]
+    if s:
+        rows.insert(0, (0, lift.family_base(p, k, t, s)[2], p ** s, k * s))
+    for ell, (x, y), root, m in rows:
+        if k == 3:
+            lams = sorted(k3_case_a_eigenvalues(root, x, y), reverse=True)
+            lines.append(f"{ell},{x},{y},{p}^{m}," + ";".join(map(str, lams)))
+        else:
+            lines.append(f"{ell},{x},{y}," + ";".join(map(str, k4_case_a_eigenvalues(root, x, y))))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +282,8 @@ def _resolve_graph(args) -> GraphSpec:
 def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> tuple[list[str], list[str]]:
     """Run every oracle admitted by the caps; returns (checked, mismatches)."""
     checked, mismatches = [], []
-    base = GraphSpec(g.k, g.p, g.m, Variant.GP)
     if g.variant is Variant.GP and g.q <= args.char_cap:
-        got = oracle.char_sum_spectrum(base, char_cap=args.char_cap)
+        got = oracle.char_sum_spectrum(g, char_cap=args.char_cap)
         checked.append("character-sum")
         if got != s:
             mismatches.append("character-sum")
@@ -360,8 +327,7 @@ def cmd_energy(args) -> tuple[str, int]:
             Variant.GP, Variant.GPSUM):
         exact = semiprimitive_energy(g.k, g.p, g.m)
     if args.format == "json":
-        d = {"graph": {"k": g.k, "p": g.p, "m": g.m, "variant": g.variant.value},
-             "energy": str(e)}
+        d = {"graph": _graph_dict(g), "energy": str(e)}
         if lower is not None:
             d["bounds"] = {"lower": _frac_str(lower), "upper": _frac_str(upper)}
         if exact is not None:

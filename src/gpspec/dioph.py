@@ -66,20 +66,26 @@ def norm_target(p: int, k: int, e: int) -> int:
     return 4 * p ** e if k == 3 else p ** (2 * e)
 
 
+def _admissible(x: int, k: int, q: int) -> bool:
+    """x = 1 (mod k) and gcd(x, q) = 1, which for q a power of p is gcd(x, p) = 1."""
+    return x % k == 1 and math.gcd(x, q) == 1
+
+
 def check_pair(p: int, k: int, e: int, x: int, y: int) -> None:
     """Raise AssertionError unless (x, y) is an admissible pair of k at
     exponent e: x^2 + form_coeff(k) y^2 = norm_target(p, k, e), x = 1 (mod k)
     and gcd(x, p) = 1."""
     if x * x + form_coeff(k) * y * y != norm_target(p, k, e):
         raise AssertionError(f"norm identity of k = {k} failed at {p}^{e}")
-    if x % k != 1 or math.gcd(x, p) != 1:
+    if not _admissible(x, k, p):
         raise AssertionError(f"congruence/coprimality of k = {k} failed at {p}^{e}")
 
 
 def belongs(rep: QFRep, k: int, q: int) -> bool:
-    """Whether rep has the form of k and the norm target of GP(k, q), q = p^(k e):
-    4 q^(1/3) (k = 3) or q^(1/2) (k = 4), tested as target^3 = 64 q or target^2 = q, a square."""
-    if rep.form is not _FORM.get(k):
+    """Whether rep is an admissible pair of GP(k, q), q = p^(k e): the form of k,
+    the norm target 4 q^(1/3) (k = 3) or q^(1/2) (k = 4), tested as
+    target^3 = 64 q or target^2 = q, a square, and x = 1 (mod k), gcd(x, q) = 1."""
+    if rep.form is not _FORM.get(k) or not _admissible(rep.x, k, q):
         return False
     return (rep.target ** 3 == 64 * q if k == 3
             else rep.target ** 2 == q and math.isqrt(rep.target) ** 2 == rep.target)

@@ -34,7 +34,8 @@ class EnergyReport:
 
 
 def semiprimitive_energy(k: int, p: int, m: int) -> int:
-    """Exact energy in the semiprimitive case p = -1 (mod k).
+    """Exact energy in the semiprimitive case p = -1 (mod k), n = (q-1)/k:
+    2n((k-1)sqrt(q)+1)/k for m = 0 (mod 4), 2(k-1)n(sqrt(q)+1)/k otherwise.
 
     k=3:  2n(2*sqrt(q)+1)/3  for m = 0 (mod 4),   4n(sqrt(q)+1)/3  otherwise.
     k=4:   n(3*sqrt(q)+1)/2  for m = 0 (mod 4),   3n(sqrt(q)+1)/2  otherwise.
@@ -42,16 +43,10 @@ def semiprimitive_energy(k: int, p: int, m: int) -> int:
     case = require_in_scope(k, p, m)
     if case not in (HypothesisCase.K3_CASE_B, HypothesisCase.K4_CASE_B):
         raise OutOfScope(f"(k={k}, p={p}) is not semiprimitive")
-    q = p ** m
-    n = (q - 1) // k
+    n = (p ** m - 1) // k
     root = p ** (m // 2)
-    if k == 3:
-        num = 2 * n * (2 * root + 1) if m % 4 == 0 else 4 * n * (root + 1)
-        den = 3
-    else:
-        num = n * (3 * root + 1) if m % 4 == 0 else 3 * n * (root + 1)
-        den = 2
-    return _exact_div(num, den)
+    num = 2 * n * ((k - 1) * root + 1) if m % 4 == 0 else 2 * (k - 1) * n * (root + 1)
+    return _exact_div(num, k)
 
 
 def energy_bounds(k: int, p: int, m: int) -> tuple[Fraction, Fraction]:

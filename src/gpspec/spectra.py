@@ -164,21 +164,13 @@ def gp_spectrum(g: GraphSpec) -> Spectrum:
         rep = case_a_rep(g.k, g.p, g.m)
         return _case_a_spectrum(g.k, g.p ** (g.m // g.k), rep.x, rep.y)
 
-    # semiprimitive branches: strongly regular, three distinct eigenvalues
-    q = g.q
-    n = _exact_div(q - 1, g.k)
-    root = g.p ** (g.m // 2)
-    if case is HypothesisCase.K3_CASE_B:
-        if g.m % 4 == 0:
-            pairs = [(_exact_div(root - 1, 3), 2 * n), (_exact_div(-2 * root - 1, 3), n)]
-        else:
-            pairs = [(_exact_div(2 * root - 1, 3), n), (_exact_div(-root - 1, 3), 2 * n)]
-    else:
-        if g.m % 4 == 0:
-            pairs = [(_exact_div(root - 1, 4), 3 * n), (_exact_div(-3 * root - 1, 4), n)]
-        else:
-            pairs = [(_exact_div(3 * root - 1, 4), n), (_exact_div(-root - 1, 4), 3 * n)]
-    return Spectrum.from_pairs([(n, 1)] + pairs, n, q)
+    # semiprimitive case, strongly regular: with r = p^(m/2), negated unless 4 | m,
+    # the eigenvalues are (r-1)/k of multiplicity (k-1)n and (-(k-1)r-1)/k of multiplicity n
+    q, k = g.q, g.k
+    n = _exact_div(q - 1, k)
+    r = g.p ** (g.m // 2) * (1 if g.m % 4 == 0 else -1)
+    pairs = [(n, 1), (_exact_div(r - 1, k), (k - 1) * n), (_exact_div(-(k - 1) * r - 1, k), n)]
+    return Spectrum.from_pairs(pairs, n, q)
 
 
 def gpsum_spectrum(g: GraphSpec) -> Spectrum:

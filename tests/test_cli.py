@@ -224,6 +224,10 @@ class TestTables:
         code, out, _ = run_cli(["tables", "--table", "3"], capsys)
         assert "4,-527,168," in out
 
+    def test_unknown_table(self):
+        with pytest.raises(ValueError, match="^no table 4$"):
+            table_csv(4)
+
 
 class TestJsonRoundTrip:
     """json.loads of each render_* output holds every field, integers of any

@@ -159,6 +159,12 @@ class TestCorollaryCondition:
             corollary_condition(4, QFRep(QFForm.X2_27Y2, 28, 1, 1), 7 ** 3)
         with pytest.raises(OutOfScope):  # 5 = 1 + 4 is q^(1/2) for q = 25, not a fourth power
             corollary_condition(4, QFRep(QFForm.X2_4Y2, 5, 1, 1), 25)
+        # the norm target of q, but not admissible: x = 1 (mod k) or gcd(x, q) = 1 fails
+        for k, rep, q in ((3, QFRep(QFForm.X2_27Y2, 28, -1, 1), 7 ** 3),
+                          (4, QFRep(QFForm.X2_4Y2, 25, 5, 0), 5 ** 4),
+                          (4, QFRep(QFForm.X2_4Y2, 25, 3, 2), 5 ** 4)):
+            with pytest.raises(OutOfScope):
+                corollary_condition(k, rep, q)
 
     @staticmethod
     def case_a_verdicts():
