@@ -219,13 +219,3 @@ def _k3_family(p: int, s: int, t: int | None = None
     if (a0 * x0 - 27 * b0 * y0) % p == 0:
         b0 = -b0
     return t0, (x0, y0), (a0, b0)
-
-
-def is_cubic_residue(a: int, p: int) -> bool:
-    """Euler criterion: a^((p-1)/d) = 1 (mod p) with d = gcd(3, p-1)."""
-    if not is_prime(p):
-        raise BadP(f"p = {p} must be prime")
-    if a % p == 0:
-        raise BadInput(f"gcd({a}, {p}) != 1")
-    d = math.gcd(3, p - 1)
-    return pow(a, (p - 1) // d, p) == 1

@@ -13,7 +13,6 @@ in-scope cases or ``OUT_OF_SCOPE``.
 """
 from __future__ import annotations
 
-import math
 from enum import Enum
 from functools import lru_cache
 
@@ -349,21 +348,6 @@ def kth_power_residues(f: FieldSpec, k: int) -> frozenset[int]:
     if (f.q - 1) % k != 0:
         raise BadK(f"k = {k} does not divide q - 1 = {f.q - 1}")
     return frozenset(f.exp_table[::k])
-
-
-def is_semiprimitive(k: int, p: int) -> bool:
-    """True iff -1 is a power of p modulo k (some j >= 1 with p^j = -1 mod k)."""
-    if math.gcd(p, k) != 1:
-        raise BadInput(f"gcd(p, k) = {math.gcd(p, k)} != 1")
-    if k == 1:
-        return True
-    target = k - 1
-    x = p % k
-    for _ in range(2 * k):
-        if x == target:
-            return True
-        x = x * p % k
-    return False
 
 
 def theorem_hypotheses(k: int, p: int, m: int) -> HypothesisCase:

@@ -13,13 +13,15 @@ sweeps in round-robin (Brent-Luk) order: each sweep is n-1 rounds (n rounded
 up to even) of n/2 disjoint index pairs, and one round rotates all of its
 pairs at once with vectorized row and column updates.
 
-Either engine solves the matrix as two blocks.  A DenseGraph carries an
-involution sigma that its constructor checks, on the matrix, to be an
-automorphism; A then commutes with sigma and keeps each of sigma's +1 and -1
-eigenspaces, so A's spectrum is exactly the union of the spectra of its two
-blocks on them (see ``dense_eigenvalues``).  ``build_graph`` supplies
-x -> 1 - x (p = 2) or x -> -x (odd p), which halve the blocks: field
-arithmetic, checked like any sigma, with no character or quadratic form.
+Either engine solves the matrix block by block.  A DenseGraph carries the
+orbits of a cyclic vertex permutation sigma that its constructor checks, on
+the matrix, to be an automorphism; A is then block-circulant over the orbits,
+and a discrete Fourier transform along them splits A's spectrum exactly into
+the spectra of small blocks (see ``dense_eigenvalues``).  ``build_graph``
+supplies x -> w^k x, w the field's generator: w^k lies in R_k, so every edge
+rule respects it, and its k orbits, the cosets w^j R_k, leave blocks of at
+most 2k rows.  It is field arithmetic, checked like any sigma, with no
+character, trace or quadratic form.
 
 numpy is imported inside the functions that use it, so importing this
 module (and with it ``gpspec`` and the CLI) does not load numpy; only an
@@ -40,7 +42,7 @@ from .spectra import GraphSpec, Spectrum, Variant
 DENSE_CAP = 1500
 CHAR_CAP = 300_000
 
-#: Largest matrix handed to the cyclic Jacobi under engine="auto".
+#: Largest graph whose blocks go to the cyclic Jacobi under engine="auto".
 JACOBI_MAX_N = 128
 
 _JACOBI_OFF_TOL = 1e-10
@@ -50,11 +52,18 @@ _CLUSTER_TOL = 1e-4
 
 
 class DenseGraph:
-    """Explicit symmetric 0/1 adjacency matrix with loop bookkeeping, and an
-    automorphism of order at most 2 (``involution``, the identity when None)
-    that the dense eigensolver splits the matrix by."""
+    """Explicit symmetric 0/1 adjacency matrix with loop bookkeeping, and the
+    orbits of an automorphism sigma that the dense eigensolver splits the
+    matrix by.
 
-    def __init__(self, adjacency: np.ndarray, involution: np.ndarray | None = None):
+    ``orbits`` is an (M, r) integer array of distinct vertices, r >= 1:
+    sigma moves each row one place to the left, orbits[i, s] to
+    orbits[i, (s + 1) % r], and fixes every vertex in no row.  ``fixed``
+    lists those vertices in ascending order.  None means no orbits: every
+    vertex is fixed, and the eigensolver solves the whole matrix.
+    """
+
+    def __init__(self, adjacency: np.ndarray, orbits: np.ndarray | None = None):
         import numpy as np
 
         adjacency = np.asarray(adjacency)
@@ -66,16 +75,19 @@ class DenseGraph:
         if not np.array_equal(adjacency, adjacency.T):
             raise BadInput("adjacency must be symmetric")
         q = adjacency.shape[0]
-        identity = np.arange(q)
-        sigma = identity if involution is None else np.asarray(involution)
-        if sigma.shape != (q,) or sigma.dtype.kind not in "iu" or not ((0 <= sigma) & (sigma < q)).all():
-            raise BadInput(f"involution must be {q} vertex indices")
-        if not np.array_equal(sigma[sigma], identity):
-            raise BadInput("involution must have order at most 2")
+        orbits = np.empty((0, 1), dtype=np.intp) if orbits is None else np.asarray(orbits)
+        if orbits.ndim != 2 or orbits.shape[1] < 1 or orbits.dtype.kind not in "iu" \
+                or not ((0 <= orbits) & (orbits < q)).all():
+            raise BadInput(f"orbits must be an (M, r) array of vertex indices below {q}, r >= 1")
+        if len(np.unique(orbits)) != orbits.size:
+            raise BadInput("orbits must be disjoint")
+        sigma = np.arange(q)
+        sigma[orbits] = np.roll(orbits, -1, axis=1)
         if not np.array_equal(adjacency.take(sigma, axis=0).take(sigma, axis=1), adjacency):
-            raise BadInput("involution must be an automorphism of the graph")
+            raise BadInput("orbits must be those of an automorphism of the graph")
         self.adjacency = adjacency
-        self.involution = sigma
+        self.orbits = orbits
+        self.fixed = np.setdiff1d(np.arange(q), orbits)
         self.q = q
         self.loop_count = int(np.trace(adjacency))
 
@@ -112,9 +124,10 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
     """Materialize the graph: edge v~w iff w-v in R_k (GP) or v+w in R_k
     (sum graph); complement variants flip the off-diagonal bits.
 
-    The involution is x -> c - x: c = 1 for p = 2 (a translation, which every
-    Cayley and sum graph in characteristic 2 admits; no fixed points), c = 0
-    for odd p when R_k = -R_k (one fixed point, 0), else the identity.
+    The automorphism is x -> w^k x, w the generator: its orbits are the
+    cosets w^j R_k, j < k, as the rows of exp_table read k apart, and a
+    rotation multiplies by w^k in R_k, which every one of the four edge rules
+    respects.
     """
     import numpy as np
 
@@ -132,15 +145,7 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
         diag = np.diag(adj).copy()
         adj = 1 - adj
         np.fill_diagonal(adj, diag)
-
-    c = 1 if g.p == 2 else 0
-    weights = g.p ** np.arange(g.m)
-    digits = np.arange(q)[:, None] // weights % g.p
-    digits[:, 0] -= c                             # the digits of x - c
-    sigma = (-digits % g.p) @ weights
-    if g.p != 2 and not np.array_equal(in_r[sigma], in_r):
-        sigma = None
-    return DenseGraph(adj, sigma)
+    return DenseGraph(adj, np.asarray(fld.exp_table).reshape(-1, g.k).T)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +224,8 @@ def _jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
 
     a = np.array(a, dtype=np.float64)
     n = a.shape[0]
-    if n == 1:
-        return a[0].copy()
+    if n <= 1:
+        return np.diag(a).copy()
     off_mask = ~np.eye(n, dtype=bool)
     rounds = _round_robin(n)
     for _ in range(max_sweeps):
@@ -250,15 +255,23 @@ def _jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
 
 def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:
     """Raw (unrounded) eigenvalues, ascending.  engine: auto|jacobi|lapack,
-    auto meaning the Jacobi up to JACOBI_MAX_N vertices.
+    auto meaning the Jacobi for graphs of up to JACOBI_MAX_N vertices.
 
-    The engine solves the two blocks of A on the +1 and -1 eigenspaces of
-    the involution sigma, an automorphism checked on the matrix when the
-    DenseGraph was made, so A commutes with sigma and the union of the two
-    block spectra is A's spectrum exactly.  With the vertices ordered as
-    P (the x < sigma(x)), sigma(P), then the fixed points F:
-    B+ = [[A_PP + A_P,sigma(P), sqrt(2) A_PF], [sqrt(2) A_FP, A_FF]] and
-    B- = A_PP - A_P,sigma(P).
+    The engine solves blocks of A cut out by sigma, an automorphism checked
+    on the matrix when the DenseGraph was made.  With the r columns of the
+    orbits and x0 = orbits[x, 0], A[orbits[x, t], orbits[y, t + s]] =
+    c[x, y, s] = A[x0, orbits[y, s]] for every t, and a fixed vertex f sees
+    A[orbits[x, t], f] = A[x0, f]; so A is block-circulant, and its spectrum
+    is exactly the union of those of the Hermitian blocks
+    B_j = sum_s c[:, :, s] e^(-2 pi i js/r), the FFT of c along s, where
+    - B_0, on the orbit sums, is bordered by sqrt(r) A[x0, F] and A[F, F]
+      for the fixed vertices F;
+    - B_(r/2), for even r, is real;
+    - for 0 < j < r/2, the real [[X, -Y], [Y, X]] of B_j = X + iY has the
+      spectrum of B_j and of B_(r-j), its conjugate.
+    r = 2 gives the blocks A_PP +- A_P,sigma(P) of an involution; r = 1, or
+    no orbits, gives the whole matrix.  LAPACK solves the pair blocks in one
+    batched call; the Jacobi takes one block at a time.
     """
     import numpy as np
 
@@ -266,21 +279,21 @@ def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:
         engine = "jacobi" if d.q <= JACOBI_MAX_N else "lapack"
     if engine not in ("jacobi", "lapack"):
         raise BadInput(f"unknown engine {engine!r}")
-    sigma = d.involution
-    vertices = np.arange(d.q)
-    pairs = vertices[vertices < sigma]
-    h = len(pairs)
-    order = np.concatenate([pairs, sigma[pairs], vertices[vertices == sigma]])
-    a = d.adjacency.take(order, axis=0).take(order, axis=1)
-    # A_sigma(P),sigma(P) = A_PP and A_sigma(P),F = A_PF, since sigma is an automorphism
-    plus = a[h:, h:].astype(np.float64)
-    plus[:h, :h] += a[:h, h:2 * h]
-    plus[:h, h:] *= math.sqrt(2)
-    plus[h:, :h] *= math.sqrt(2)
-    minus = a[:h, :h] - a[:h, h:2 * h].astype(np.float64)
-    del a
-    solve = _jacobi_eigenvalues if engine == "jacobi" else np.linalg.eigvalsh
-    return np.sort(np.concatenate([solve(plus), solve(minus)]))
+    a, orbits, fixed = d.adjacency, d.orbits, d.fixed
+    r = orbits.shape[1]
+    reps = orbits[:, 0]
+    b = np.fft.fft(a[reps][:, orbits], axis=2)
+    border = math.sqrt(r) * a[np.ix_(reps, fixed)]
+    blocks = [np.block([[b[:, :, 0].real, border], [border.T, a[np.ix_(fixed, fixed)]]])]
+    if r % 2 == 0:
+        blocks.append(b[:, :, r // 2].real)
+    half = np.moveaxis(b[:, :, 1:(r + 1) // 2], 2, 0)
+    pairs = np.block([[half.real, -half.imag], [half.imag, half.real]])
+    if engine == "jacobi":
+        values = [_jacobi_eigenvalues(block) for block in blocks + list(pairs)]
+    else:
+        values = [np.linalg.eigvalsh(block) for block in blocks] + [np.linalg.eigvalsh(pairs).ravel()]
+    return np.sort(np.concatenate(values))
 
 
 def dense_spectrum(d: DenseGraph, engine: str = "auto", cap: int = DENSE_CAP) -> Spectrum:

@@ -17,6 +17,9 @@ the package routes they check.
 - ``char_sum_eigenvalue`` adds e^(2 pi i Tr(gamma x)/p) over x in R_k with
   ``cmath``, one character gamma at a time and unrounded, and referees the
   per-coset trace counts of ``gpspec.oracle.char_sum_spectrum``.
+- ``is_cubic_residue`` (Euler's criterion) and ``is_semiprimitive`` (-1 a
+  power of p mod k) classify primes for tests of ``gpspec.dioph.minimal_t``
+  and of the semiprimitive spectra and energies.
 - ``scan_cache`` decodes a cache file line by line with ``json.loads`` and
   referees ``gpspec.cli._cache_lookup``, which searches the raw bytes for a
   record's key text and decodes only the lines around its matches.
@@ -26,6 +29,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+
+from gpspec.errors import BadInput, BadP
+from gpspec.ff import is_prime
 
 
 def _square_part(n: int) -> int | None:
@@ -89,6 +95,31 @@ def power_components(x: int, y: int, ell: int, coeff: int) -> tuple[int, int]:
     Y = sum(math.comb(ell, 2 * r + 1) * x ** (ell - 2 * r - 1) * y ** (2 * r + 1) * (-coeff) ** r
             for r in range((ell + 1) // 2))
     return X, Y
+
+
+def is_cubic_residue(a: int, p: int) -> bool:
+    """Euler criterion: a^((p-1)/d) = 1 (mod p) with d = gcd(3, p-1)."""
+    if not is_prime(p):
+        raise BadP(f"p = {p} must be prime")
+    if a % p == 0:
+        raise BadInput(f"gcd({a}, {p}) != 1")
+    d = math.gcd(3, p - 1)
+    return pow(a, (p - 1) // d, p) == 1
+
+
+def is_semiprimitive(k: int, p: int) -> bool:
+    """True iff -1 is a power of p modulo k (some j >= 1 with p^j = -1 mod k)."""
+    if math.gcd(p, k) != 1:
+        raise BadInput(f"gcd(p, k) = {math.gcd(p, k)} != 1")
+    if k == 1:
+        return True
+    target = k - 1
+    x = p % k
+    for _ in range(2 * k):
+        if x == target:
+            return True
+        x = x * p % k
+    return False
 
 
 def iterated_exp_table(f) -> list[int]:

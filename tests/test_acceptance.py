@@ -11,11 +11,12 @@ import time
 from conftest import in_scope_instances
 from gpspec.energy import energy_bounds, is_complementary_equienergetic, semiprimitive_energy
 from gpspec.family import find_equienergetic_family
-from gpspec.ff import HypothesisCase, is_semiprimitive, theorem_hypotheses
+from gpspec.ff import HypothesisCase, theorem_hypotheses
 from gpspec.lift import family_base, levels
 from gpspec.oracle import build_graph, char_sum_spectrum, dense_spectrum, weight_eigenvalue_check
 from gpspec.spectra import (GraphSpec, Variant, gp_spectrum, gpsum_spectrum, k3_case_a_eigenvalues,
                             k4_case_a_eigenvalues)
+from referees import is_semiprimitive
 
 
 class _Budget:

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import primes_upto
 from gpspec import dioph
-from gpspec.dioph import QFForm, QFRep, is_cubic_residue, minimal_t, solve_ab, solve_cd
+from gpspec.dioph import QFForm, QFRep, minimal_t, solve_ab, solve_cd
 from gpspec.errors import BadInput, BadP, NoSolution
 from gpspec.ff import is_prime
 from gpspec.lift import levels
 from gpspec.spectra import GraphSpec, gp_spectrum
-from referees import power_components, scan_ab, scan_cd, scan_minimal_t, scan_steps
+from referees import is_cubic_residue, power_components, scan_ab, scan_cd, scan_minimal_t, scan_steps
 
 P1MOD3 = [p for p in primes_upto(100) if p % 3 == 1]
 P1MOD4 = [p for p in primes_upto(100) if p % 4 == 1]

@@ -10,8 +10,9 @@ from gpspec.dioph import QFForm, QFRep, solve_ab, solve_cd
 from gpspec.energy import (corollary_condition, energy_bounds,
                            is_complementary_equienergetic, semiprimitive_energy)
 from gpspec.errors import OutOfScope
-from gpspec.ff import HypothesisCase, is_semiprimitive, theorem_hypotheses
+from gpspec.ff import HypothesisCase, theorem_hypotheses
 from gpspec.spectra import GraphSpec, Spectrum, Variant, case_a_rep, gp_spectrum, gpsum_spectrum
+from referees import is_semiprimitive
 
 P_CASE_A = {k: [p for p in primes_upto(2000) if p % k == 1] for k in (3, 4)}
 

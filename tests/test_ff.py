@@ -6,9 +6,8 @@ import pytest
 
 from conftest import in_scope_instances, primes_upto
 from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime
-from gpspec.ff import (HypothesisCase, is_prime, is_semiprimitive, kth_power_residues,
-                       make_field, theorem_hypotheses, trace)
-from referees import iterated_exp_table, scan_generator
+from gpspec.ff import HypothesisCase, is_prime, kth_power_residues, make_field, theorem_hypotheses, trace
+from referees import is_semiprimitive, iterated_exp_table, scan_generator
 
 
 def _poly_divides(g, f, p):

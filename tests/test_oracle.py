@@ -78,16 +78,18 @@ class TestBuildGraph:
                 assert diff[v].tolist() == [fld.add(w, fld.neg(v)) for w in range(fld.q)], (p, m, v)
                 assert total[v].tolist() == [fld.add(w, v) for w in range(fld.q)], (p, m, v)
 
-    @pytest.mark.parametrize("k,p,m,fixed", [(3, 2, 4, 0), (3, 5, 2, 1), (4, 3, 4, 1), (4, 7, 2, 1),
-                                             (3, 2, 10, 0), (4, 3, 6, 1)])
-    def test_involution(self, k, p, m, fixed):
-        """x -> 1 - x for p = 2, x -> -x for odd p; DenseGraph checked it on the matrix."""
+    @pytest.mark.parametrize("k,p,m", [(3, 2, 4), (3, 5, 2), (4, 3, 4), (4, 7, 2), (3, 2, 10), (4, 3, 6)])
+    def test_orbits(self, k, p, m):
+        """The cosets w^j R_k, each rotated by x -> w^k x; DenseGraph checked it on the matrix."""
         fld = make_field(p, m)
-        one = 1 if p == 2 else 0
+        h = fld.exp_table[k]
         for variant in Variant:
             d = build_graph(GraphSpec(k, p, m, variant))
-            assert d.involution.tolist() == [fld.add(one, fld.neg(x)) for x in range(fld.q)]
-            assert (d.involution == np.arange(fld.q)).sum() == fixed
+            assert d.orbits.shape == (k, (fld.q - 1) // k)
+            for j, row in enumerate(d.orbits.tolist()):
+                assert row[0] == fld.exp_table[j]
+                assert row[1:] == [fld.mul(h, x) for x in row[:-1]]
+            assert d.fixed.tolist() == [0]
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -215,30 +217,49 @@ class TestDenseSpectrum:
         with pytest.raises(BadInput, match="0/1"):
             DenseGraph(np.array([[0, entry], [entry, 0]]))
 
-    def test_dense_graph_checks_the_involution(self):
+    def test_dense_graph_checks_the_orbits(self):
         path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])      # 0 - 1 - 2
-        assert DenseGraph(path, np.array([2, 1, 0])).involution.tolist() == [2, 1, 0]
-        assert DenseGraph(path).involution.tolist() == [0, 1, 2]
-        with pytest.raises(BadInput, match="order"):
-            DenseGraph(1 - np.eye(3, dtype=np.uint8), np.array([1, 2, 0]))
+        d = DenseGraph(path, np.array([[0, 2]]))
+        assert d.orbits.tolist() == [[0, 2]] and d.fixed.tolist() == [1]
+        assert DenseGraph(path).fixed.tolist() == [0, 1, 2]
+        assert DenseGraph(1 - np.eye(3, dtype=np.uint8), np.array([[0, 1, 2]])).fixed.tolist() == []
         with pytest.raises(BadInput, match="automorphism"):
-            DenseGraph(path, np.array([1, 0, 2]))
-        for bad in ([0, 1], [0, 1, 3], [-1, 1, 0], [0.0, 1.0, 2.0]):
+            DenseGraph(path, np.array([[0, 1]]))
+        with pytest.raises(BadInput, match="disjoint"):
+            DenseGraph(path, np.array([[0, 1], [1, 2]]))
+        for bad in ([[0, 3]], [[-1, 1]], [[0.0, 2.0]], [0, 2], np.zeros((1, 0), dtype=int)):
             with pytest.raises(BadInput, match="vertex indices"):
                 DenseGraph(path, np.array(bad))
 
+    @pytest.mark.parametrize("engine", ["jacobi", "lapack"])
+    def test_odd_rotation_without_fixed_point(self, engine):
+        """C_5 rotated by x -> x + 1: one orbit of odd length, blocks j = 0, {1, 4}, {2, 3}."""
+        adj = np.zeros((5, 5), dtype=np.uint8)
+        for i in range(5):
+            adj[i, (i + 1) % 5] = adj[(i + 1) % 5, i] = 1
+        d = DenseGraph(adj, np.array([[0, 1, 2, 3, 4]]))
+        expected = np.sort([2 * np.cos(2 * np.pi * j / 5) for j in range(5)])
+        assert np.allclose(dense_eigenvalues(d, engine=engine), expected, rtol=0, atol=1e-12)
+        with pytest.raises(NonIntegral):
+            dense_spectrum(d, engine=engine)
+
     @pytest.mark.parametrize("k,p,m", in_scope_instances(400) + [(3, 2, 10), (4, 3, 6)])
     def test_split_matches_full_solve(self, k, p, m):
-        """The two blocks of the involution against the whole matrix (the
-        identity involution), with both engines below JACOBI_MAX_N; q >= 729
-        covers both shapes of the split: no fixed point (p = 2), one (odd p)."""
+        """The blocks of x -> w^k x, and of the involution x -> x + 1 (p = 2)
+        or x -> -x (odd p) as orbits of length 2, against the whole matrix
+        (no orbits), with both engines below JACOBI_MAX_N."""
+        fld = make_field(p, m)
+        involution = [fld.add(x, 1) if p == 2 else fld.neg(x) for x in range(fld.q)]
+        pairs = np.array([(x, y) for x, y in enumerate(involution) if x < y])
         for variant in (Variant.GP, Variant.GPSUM, Variant.GP_COMPLEMENT):
             d = build_graph(GraphSpec(k, p, m, variant))
             whole = DenseGraph(d.adjacency)
+            halved = DenseGraph(d.adjacency, pairs)
             for engine in ("jacobi", "lapack") if d.q <= JACOBI_MAX_N else ("auto",):
-                split = dense_eigenvalues(d, engine=engine)
-                assert np.allclose(split, dense_eigenvalues(whole, engine=engine), rtol=0, atol=1e-9), \
-                    (k, p, m, variant, engine)
+                expected = dense_eigenvalues(whole, engine=engine)
+                for split in (d, halved):
+                    assert np.allclose(dense_eigenvalues(split, engine=engine), expected, rtol=0, atol=1e-9), \
+                        (k, p, m, variant, engine, split.orbits.shape)
 
     def test_jacobi_no_convergence_reports_sweeps(self):
         from gpspec.errors import NoConvergence
@@ -312,11 +333,10 @@ class TestTripleAgreement:
         assert char_sum_spectrum(g) == gp_spectrum(g)
 
 
-@pytest.mark.slow
 class TestFullRangeSweeps:
-    """The full-cap sweeps; run with `pytest -m slow`."""
-
+    @pytest.mark.slow
     def test_char_agreement_to_char_cap(self):
+        """Run with `pytest -m slow`."""
         for (k, p, m) in in_scope_instances(300_000):
             g = GraphSpec(k, p, m)
             assert char_sum_spectrum(g) == gp_spectrum(g), (k, p, m)
