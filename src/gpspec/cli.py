@@ -289,7 +289,7 @@ def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> tuple[list[str],
             mismatches.append("character-sum")
     if g.q <= args.dense_cap:
         graph = oracle.build_graph(g, dense_cap=args.dense_cap)
-        got = oracle.dense_spectrum(graph, cap=args.dense_cap)
+        got = oracle.dense_spectrum(graph)
         checked.append("dense-eigensolver")
         if got != s:
             mismatches.append("dense-eigensolver")
@@ -321,10 +321,9 @@ def cmd_energy(args) -> tuple[str, int]:
     case = theorem_hypotheses(g.k, g.p, g.m)
     e = spectrum_of(g).energy()
     lower = upper = exact = None
-    if case in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
+    if case is HypothesisCase.CASE_A:
         lower, upper = energy_bounds(g.k, g.p, g.m)
-    elif case in (HypothesisCase.K3_CASE_B, HypothesisCase.K4_CASE_B) and g.variant in (
-            Variant.GP, Variant.GPSUM):
+    elif case is HypothesisCase.SEMIPRIMITIVE and g.variant in (Variant.GP, Variant.GPSUM):
         exact = semiprimitive_energy(g.k, g.p, g.m)
     if args.format == "json":
         d = {"graph": _graph_dict(g), "energy": str(e)}

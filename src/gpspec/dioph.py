@@ -2,7 +2,8 @@
 
 This module alone states the norm form of each k: its coefficient
 (``form_coeff``), its target at exponent e (``norm_target``) and the
-admissible pairs (``check_pair``; ``belongs`` matches a solved pair to GP(k, q)),
+admissible pairs (``check_pair``; ``belongs`` matches a solved pair, a
+``QFRep`` keyed by its k, to GP(k, q)),
 
     4 * p^e   = a^2 + 27*b^2   with a = 1 (mod 3), gcd(a, p) = 1   (k = 3)
     p^(2e)    = c^2 +  4*d^2   with c = 1 (mod 4), gcd(c, p) = 1   (k = 4)
@@ -23,42 +24,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import BadInput, BadP, NoSolution
 from .ff import is_prime
 
 
-class QFForm(Enum):
-    X2_27Y2 = "x^2 + 27y^2"
-    X2_4Y2 = "x^2 + 4y^2"
-
-
-_FORM_COEFF = {QFForm.X2_27Y2: 27, QFForm.X2_4Y2: 4}
-#: k -> the norm form of its pairs
-_FORM = {3: QFForm.X2_27Y2, 4: QFForm.X2_4Y2}
+#: k -> the coefficient of y^2 in the norm form of its pairs
+_FORM_COEFF = {3: 27, 4: 4}
 
 
 @dataclass(frozen=True)
 class QFRep:
-    """One solution of  x^2 + coeff*y^2 = target  with its side conditions."""
+    """One solution of  x^2 + form_coeff(k)*y^2 = target  with its side conditions."""
 
-    form: QFForm
+    k: int
     target: int
     x: int
     y: int
 
     def __post_init__(self):
-        coeff = _FORM_COEFF[self.form]
+        if self.k not in _FORM_COEFF:
+            raise BadInput(f"k = {self.k} not in {{3, 4}}")
+        coeff = _FORM_COEFF[self.k]
         if self.x * self.x + coeff * self.y * self.y != self.target:
-            raise BadInput(f"({self.x}, {self.y}) does not represent {self.target} by {self.form.value}")
+            raise BadInput(f"({self.x}, {self.y}) does not represent {self.target} by x^2 + {coeff}y^2")
         if self.y < 0:
             raise BadInput("y-component must be normalized to y >= 0")
 
 
 def form_coeff(k: int) -> int:
     """The coefficient of y^2 in the norm form of k: 27 (k = 3) or 4 (k = 4)."""
-    return _FORM_COEFF[_FORM[k]]
+    return _FORM_COEFF[k]
 
 
 def norm_target(p: int, k: int, e: int) -> int:
@@ -85,7 +81,7 @@ def belongs(rep: QFRep, k: int, q: int) -> bool:
     """Whether rep is an admissible pair of GP(k, q), q = p^(k e): the form of k,
     the norm target 4 q^(1/3) (k = 3) or q^(1/2) (k = 4), tested as
     target^3 = 64 q or target^2 = q, a square, and x = 1 (mod k), gcd(x, q) = 1."""
-    if rep.form is not _FORM.get(k) or not _admissible(rep.x, k, q):
+    if rep.k != k or not _admissible(rep.x, k, q):
         return False
     return (rep.target ** 3 == 64 * q if k == 3
             else rep.target ** 2 == q and math.isqrt(rep.target) ** 2 == rep.target)
@@ -158,7 +154,7 @@ def solve_ab(p: int, r: int) -> QFRep:
     _require(p, 3)
     if r < 1:
         raise BadInput(f"r = {r} must be >= 1")
-    return QFRep(QFForm.X2_27Y2, norm_target(p, 3, r), *_k3_pair(p, pair_pow(_base(p, 3), r, 3)))
+    return QFRep(3, norm_target(p, 3, r), *_k3_pair(p, pair_pow(_base(p, 3), r, 3)))
 
 
 def solve_cd(p: int, t: int) -> QFRep:
@@ -171,7 +167,7 @@ def solve_cd(p: int, t: int) -> QFRep:
         raise BadInput(f"t = {t} must be >= 1")
     u, v = _base(p, 4)
     c, d = pair_pow((u * u - v * v, u * v), t, 4)
-    return QFRep(QFForm.X2_4Y2, norm_target(p, 4, t), c if c % 4 == 1 else -c, abs(d))
+    return QFRep(4, norm_target(p, 4, t), c if c % 4 == 1 else -c, abs(d))
 
 
 def minimal_t(p: int) -> tuple[int, int, int]:

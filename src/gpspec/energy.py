@@ -41,7 +41,7 @@ def semiprimitive_energy(k: int, p: int, m: int) -> int:
     k=4:   n(3*sqrt(q)+1)/2  for m = 0 (mod 4),   3n(sqrt(q)+1)/2  otherwise.
     """
     case = require_in_scope(k, p, m)
-    if case not in (HypothesisCase.K3_CASE_B, HypothesisCase.K4_CASE_B):
+    if case is not HypothesisCase.SEMIPRIMITIVE:
         raise OutOfScope(f"(k={k}, p={p}) is not semiprimitive")
     n = (p ** m - 1) // k
     root = p ** (m // 2)
@@ -59,7 +59,7 @@ def energy_bounds(k: int, p: int, m: int) -> tuple[Fraction, Fraction]:
     pair of the spectrum formulas (``spectra.case_a_rep``).
     """
     case = require_in_scope(k, p, m)
-    if case not in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
+    if case is not HypothesisCase.CASE_A:
         raise OutOfScope(f"(k={k}, p={p}) has no bound form (semiprimitive case is exact)")
     q = p ** m
     n = (q - 1) // k

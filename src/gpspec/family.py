@@ -8,15 +8,14 @@ hundreds stays cheap even though q is astronomically large.
 The argument-interval sufficient conditions are likewise exact integer
 inequalities (no transcendental function is evaluated for them):
 
-    k=3, s=0 regime, on the raw pair (x, y):   0 < x < 9y
-    k=3, s>0 regime, on the pair (a, b):       a > 9b > 0
-    k=4, on the pair (c, d):                   c > 0, d > 0, 4d^2 > 3c^2
+    k=3, s = 0, on the raw pair (x, y):   0 < x < 9y
+    k=3, s > 0, on the pair (a, b):       a > 9b > 0
+    k=4, on the pair (c, d):              c > 0, d > 0, 4d^2 > 3c^2
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .energy import case_a_equienergetic
 from .errors import BadInput
@@ -24,14 +23,6 @@ from .lift import levels
 
 #: Default number of levels probed.
 ELL_MAX = 100
-
-
-class Regime(Enum):
-    """Which argument interval applies: the s=0 proof works on the raw
-    (x, y) pair, the s>0 proof on the derived (a, b) pair."""
-
-    S_ZERO = "s-zero"
-    S_POSITIVE = "s-positive"
 
 
 @dataclass(frozen=True)
@@ -49,9 +40,10 @@ class FamilyWitness:
     q_digits: int
 
 
-def interval_test_k3(x: int, y: int, regime: Regime) -> bool:
-    """Exact integer form of the k=3 argument-interval conditions."""
-    if regime is Regime.S_ZERO:
+def interval_test_k3(x: int, y: int, s: int) -> bool:
+    """Exact integer form of the k=3 argument-interval condition of offset s:
+    on the raw pair (x, y) when s = 0, on the derived pair (a, b) when s > 0."""
+    if s == 0:
         return 0 < x < 9 * y
     return y > 0 and x > 9 * y
 
@@ -87,11 +79,8 @@ def find_equienergetic_family(p: int, k: int, t: int | None = None, s: int = 0,
     for lvl in levels(p, k, ell_max, t, s):
         x, y = lvl.pair
         equi = case_a_equienergetic(k, lvl.root, x, y)
-        if k == 4:
-            hit = interval_test_k4(x, y)
-        else:
-            hit = (interval_test_k3(*lvl.raw, Regime.S_ZERO) if s == 0
-                   else interval_test_k3(x, y, Regime.S_POSITIVE))
+        hit = (interval_test_k4(x, y) if k == 4
+               else interval_test_k3(*(lvl.raw if s == 0 else lvl.pair), s))
         if hit and not equi:
             raise AssertionError(f"interval hit without equienergy at ell = {lvl.ell}")
         witnesses.append(FamilyWitness(

@@ -8,8 +8,9 @@ elements hashable and cheap while still being, literally, a coefficient
 vector.
 
 The case analysis for the closed spectral formulas lives here as well:
-``theorem_hypotheses`` classifies a triple (k, p, m) into one of the four
-in-scope cases or ``OUT_OF_SCOPE``.
+``theorem_hypotheses`` classifies a triple (k, p, m) as ``CASE_A``
+(p = 1 (mod k)), ``SEMIPRIMITIVE`` (p = -1 (mod k)) or ``OUT_OF_SCOPE``;
+the tag does not repeat k, which the caller holds.
 """
 from __future__ import annotations
 
@@ -173,10 +174,8 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 class HypothesisCase(Enum):
     """Which branch of the closed spectral formulas applies to (k, p, m)."""
 
-    K3_CASE_A = "k=3, p = 1 (mod 3), m = 3t"
-    K3_CASE_B = "k=3, p = 2 (mod 3), m = 2t"
-    K4_CASE_A = "k=4, p = 1 (mod 4), m = 4t"
-    K4_CASE_B = "k=4, p = 3 (mod 4), m = 2t"
+    CASE_A = "p = 1 (mod k), m = kt"
+    SEMIPRIMITIVE = "p = -1 (mod k), m = 2t"
     OUT_OF_SCOPE = "out of scope"
 
 
@@ -352,13 +351,9 @@ def kth_power_residues(f: FieldSpec, k: int) -> frozenset[int]:
 
 def theorem_hypotheses(k: int, p: int, m: int) -> HypothesisCase:
     """Classify (k, p, m); OUT_OF_SCOPE is a value, never an error."""
-    return HypothesisCase.OUT_OF_SCOPE if out_of_scope_reason(k, p, m) else _case_of(k, p, m)
-
-
-def _case_of(k: int, p: int, m: int) -> HypothesisCase:
-    if k == 3:
-        return HypothesisCase.K3_CASE_A if p % 3 == 1 else HypothesisCase.K3_CASE_B
-    return HypothesisCase.K4_CASE_A if p % 4 == 1 else HypothesisCase.K4_CASE_B
+    if out_of_scope_reason(k, p, m):
+        return HypothesisCase.OUT_OF_SCOPE
+    return HypothesisCase.CASE_A if p % k == 1 else HypothesisCase.SEMIPRIMITIVE
 
 
 def out_of_scope_reason(k: int, p: int, m: int) -> str | None:

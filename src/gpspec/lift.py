@@ -80,10 +80,11 @@ def levels(p: int, k: int, ell_max: int, t: int | None = None, s: int = 0) -> It
         yield Level(ell, t, m, q, root, raw, pair)
 
 
-# bench/tracing.py wraps the names below by "lift:<name>" and its test asks that
-# none be missing, so they stay as views over ``levels`` and ``family_base``
-# until the benchmark reads in-package spans (ROADMAP item 5).  Nothing in the
-# package calls them and ``gpspec`` no longer exports them.
+# bench/tracing.py wraps the names below by "lift:<name>" and
+# bench/test_checks.py::test_instrumentation_swaps_and_restores asks that none
+# be missing, so they stay as views over ``levels`` and ``family_base`` until
+# the benchmark reads in-package spans.  Nothing in the package calls them and
+# ``gpspec`` no longer exports them.
 
 def _last_pair(p: int, k: int, ell: int, t: int | None = None, s: int = 0) -> tuple[int, int]:
     if ell < 1:
@@ -96,7 +97,8 @@ def _last_pair(p: int, k: int, ell: int, t: int | None = None, s: int = 0) -> tu
 def derived_ab(p: int, t: int, s: int, ell: int) -> tuple[int, int]:
     """The pair (a, b) of level ell >= 1 of the family of GP(3, p): the last
     ``Level`` of ``levels(p, 3, ell, t, s)``.  It stays only because the traced
-    floor of bench/worker.py calls it, and goes with ROADMAP item 5."""
+    floor of bench/worker.py calls it and
+    bench/test_checks.py::test_instrumentation_swaps_and_restores pins it."""
     return _last_pair(p, 3, ell, t, s)
 
 

@@ -215,11 +215,10 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
-                        max_sweeps: int = _JACOBI_MAX_SWEEPS) -> np.ndarray:
+def _jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> np.ndarray:
     """Jacobi in round-robin order: each round rotates away its disjoint
     off-diagonal pairs at once, until the off-diagonal Frobenius norm drops
-    below off_tol at the start of a sweep."""
+    below _JACOBI_OFF_TOL at the start of a sweep."""
     import numpy as np
 
     a = np.array(a, dtype=np.float64)
@@ -232,10 +231,10 @@ def _jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
         # summed from the off-diagonal entries themselves: the difference
         # of two large sums would bottom out at cancellation noise
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
-        if off < off_tol:
+        if off < _JACOBI_OFF_TOL:
             return np.sort(np.diag(a))
         for i, j in rounds:
-            keep = np.abs(a[i, j]) >= off_tol / (4 * n * n)
+            keep = np.abs(a[i, j]) >= _JACOBI_OFF_TOL / (4 * n * n)
             i, j = i[keep], j[keep]
             if not len(i):
                 continue
@@ -296,15 +295,13 @@ def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:
     return np.sort(np.concatenate(values))
 
 
-def dense_spectrum(d: DenseGraph, engine: str = "auto", cap: int = DENSE_CAP) -> Spectrum:
+def dense_spectrum(d: DenseGraph, engine: str = "auto") -> Spectrum:
     """Integer spectrum of a regular DenseGraph via the dense eigensolver.
 
     Eigenvalues are clustered at tolerance 1e-4 and each cluster must sit
     within 1e-6 of an integer; callers wanting the raw real values use
     ``dense_eigenvalues`` directly.
     """
-    if d.q > cap:
-        raise CapExceeded(f"q = {d.q} exceeds the dense-spectrum cap {cap}")
     degree = d.degree()
     values = dense_eigenvalues(d, engine=engine)
 

@@ -143,8 +143,9 @@ def _case_a_spectrum(k: int, r: int, x: int, y: int) -> Spectrum:
     return Spectrum.from_pairs([(n, 1)] + [(lam, n) for lam in lams], n, q)
 
 
-# bench/tracing.py wraps these two by name and its test asks that neither be
-# missing; nothing in the package calls them (they go with ROADMAP item 5).
+# bench/tracing.py wraps these two by name, and
+# bench/test_checks.py::test_instrumentation_swaps_and_restores asks that
+# neither be missing; nothing in the package calls them.
 def k3_case_a_spectrum(r: int, a: int, b: int) -> Spectrum:
     """Assemble Spec GP(3, r^3) from a representation 4r = a^2 + 27 b^2."""
     return _case_a_spectrum(3, r, a, b)
@@ -160,7 +161,7 @@ def gp_spectrum(g: GraphSpec) -> Spectrum:
     if g.variant is not Variant.GP:
         raise ValueError("gp_spectrum expects the GP variant")
     case = require_in_scope(g.k, g.p, g.m)
-    if case in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
+    if case is HypothesisCase.CASE_A:
         rep = case_a_rep(g.k, g.p, g.m)
         return _case_a_spectrum(g.k, g.p ** (g.m // g.k), rep.x, rep.y)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import primes_upto
 from gpspec import dioph
-from gpspec.dioph import QFForm, QFRep, minimal_t, solve_ab, solve_cd
+from gpspec.dioph import QFRep, minimal_t, solve_ab, solve_cd
 from gpspec.errors import BadInput, BadP, NoSolution
 from gpspec.ff import is_prime
 from gpspec.lift import levels
@@ -114,15 +114,21 @@ class TestSolveCD:
 class TestQFRep:
     def test_rejects_wrong_norm(self):
         with pytest.raises(BadInput):
-            QFRep(QFForm.X2_27Y2, 29, 1, 1)
+            QFRep(3, 29, 1, 1)
 
     def test_rejects_negative_y(self):
         with pytest.raises(BadInput):
-            QFRep(QFForm.X2_4Y2, 25, 3, -2)
+            QFRep(4, 25, 3, -2)
 
     def test_accepts_valid(self):
-        rep = QFRep(QFForm.X2_27Y2, 28, 1, 1)
+        rep = QFRep(3, 28, 1, 1)
         assert rep.target == 28
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rejects_k_outside_3_4(self, k):
+        # (1, 1) represents 28 by the form of k = 3, but no form belongs to k = 2 or 5
+        with pytest.raises(BadInput, match=f"k = {k} not in"):
+            QFRep(k, 28, 1, 1)
 
 
 class TestMinimalT:

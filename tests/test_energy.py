@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_scope_instances, primes_upto
-from gpspec.dioph import QFForm, QFRep, solve_ab, solve_cd
+from gpspec.dioph import QFRep, solve_ab, solve_cd
 from gpspec.energy import (corollary_condition, energy_bounds,
                            is_complementary_equienergetic, semiprimitive_energy)
 from gpspec.errors import OutOfScope
@@ -71,7 +71,7 @@ class TestEnergyBounds:
 
     def test_sandwich_on_every_case_a_instance(self):
         for (k, p, m) in in_scope_instances(10 ** 6):
-            if theorem_hypotheses(k, p, m) in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
+            if theorem_hypotheses(k, p, m) is HypothesisCase.CASE_A:
                 lower, upper = energy_bounds(k, p, m)
                 e = gp_spectrum(GraphSpec(k, p, m)).energy()
                 assert lower <= e <= upper, (k, p, m)
@@ -157,13 +157,13 @@ class TestCorollaryCondition:
         with pytest.raises(OutOfScope):
             corollary_condition(3, solve_ab(7, 1), 7 ** 6)
         with pytest.raises(OutOfScope):
-            corollary_condition(4, QFRep(QFForm.X2_27Y2, 28, 1, 1), 7 ** 3)
+            corollary_condition(4, QFRep(3, 28, 1, 1), 7 ** 3)
         with pytest.raises(OutOfScope):  # 5 = 1 + 4 is q^(1/2) for q = 25, not a fourth power
-            corollary_condition(4, QFRep(QFForm.X2_4Y2, 5, 1, 1), 25)
+            corollary_condition(4, QFRep(4, 5, 1, 1), 25)
         # the norm target of q, but not admissible: x = 1 (mod k) or gcd(x, q) = 1 fails
-        for k, rep, q in ((3, QFRep(QFForm.X2_27Y2, 28, -1, 1), 7 ** 3),
-                          (4, QFRep(QFForm.X2_4Y2, 25, 5, 0), 5 ** 4),
-                          (4, QFRep(QFForm.X2_4Y2, 25, 3, 2), 5 ** 4)):
+        for k, rep, q in ((3, QFRep(3, 28, -1, 1), 7 ** 3),
+                          (4, QFRep(4, 25, 5, 0), 5 ** 4),
+                          (4, QFRep(4, 25, 3, 2), 5 ** 4)):
             with pytest.raises(OutOfScope):
                 corollary_condition(k, rep, q)
 
@@ -171,7 +171,7 @@ class TestCorollaryCondition:
     def case_a_verdicts():
         """(instance, condition, equienergetic) over the in-scope case-(a) instances."""
         for (k, p, m) in in_scope_instances(10 ** 6):
-            if theorem_hypotheses(k, p, m) in (HypothesisCase.K3_CASE_A, HypothesisCase.K4_CASE_A):
+            if theorem_hypotheses(k, p, m) is HypothesisCase.CASE_A:
                 report = is_complementary_equienergetic(gp_spectrum(GraphSpec(k, p, m)))
                 yield (k, p, m), corollary_condition(k, case_a_rep(k, p, m), p ** m), report.equienergetic
 

@@ -5,27 +5,26 @@ import sys
 import pytest
 
 from gpspec.errors import BadInput, NoSolution
-from gpspec.family import (Regime, decimal_digits, find_equienergetic_family, interval_test_k3,
-                           interval_test_k4)
+from gpspec.family import decimal_digits, find_equienergetic_family, interval_test_k3, interval_test_k4
 
 
 class TestIntervalK3:
     def test_s_zero_formula(self):
         # 0 < x < 9y on the raw pair: the base (10, 3) satisfies 0 < 10 < 27
-        assert interval_test_k3(10, 3, Regime.S_ZERO) is True
-        assert interval_test_k3(-10, 3, Regime.S_ZERO) is False
-        assert interval_test_k3(28, 3, Regime.S_ZERO) is False
+        assert interval_test_k3(10, 3, 0) is True
+        assert interval_test_k3(-10, 3, 0) is False
+        assert interval_test_k3(28, 3, 0) is False
 
     def test_s_positive_formula(self):
         # a > 9b > 0 on the derived pair: (10, 3) fails (10 < 27), (13, 1) passes
-        assert interval_test_k3(10, 3, Regime.S_POSITIVE) is False
-        assert interval_test_k3(13, 1, Regime.S_POSITIVE) is True
+        assert interval_test_k3(10, 3, 1) is False
+        assert interval_test_k3(13, 1, 1) is True
 
     def test_boundaries_are_strict(self):
-        assert interval_test_k3(1, 0, Regime.S_ZERO) is False
-        assert interval_test_k3(1, 0, Regime.S_POSITIVE) is False
-        assert interval_test_k3(9, 1, Regime.S_ZERO) is False   # x = 9y excluded
-        assert interval_test_k3(9, 1, Regime.S_POSITIVE) is False
+        assert interval_test_k3(1, 0, 0) is False
+        assert interval_test_k3(1, 0, 1) is False
+        assert interval_test_k3(9, 1, 0) is False   # x = 9y excluded
+        assert interval_test_k3(9, 1, 1) is False
 
 
 class TestIntervalK4:

@@ -245,33 +245,28 @@ class TestSemiprimitive:
 
 class TestTheoremHypotheses:
     def test_examples(self):
-        assert theorem_hypotheses(3, 7, 3) is HypothesisCase.K3_CASE_A
-        assert theorem_hypotheses(4, 3, 4) is HypothesisCase.K4_CASE_B
+        assert theorem_hypotheses(3, 7, 3) is HypothesisCase.CASE_A
+        assert theorem_hypotheses(4, 3, 4) is HypothesisCase.SEMIPRIMITIVE
+        # one tag per case, whatever k
+        assert theorem_hypotheses(4, 5, 4) is HypothesisCase.CASE_A
+        assert theorem_hypotheses(3, 5, 2) is HypothesisCase.SEMIPRIMITIVE
         assert theorem_hypotheses(3, 7, 2) is HypothesisCase.OUT_OF_SCOPE  # 3 does not divide 8
 
     def test_small_q_exclusions(self):
         assert theorem_hypotheses(3, 2, 2) is HypothesisCase.OUT_OF_SCOPE  # q = 4 < 5
         assert theorem_hypotheses(4, 3, 2) is HypothesisCase.OUT_OF_SCOPE  # q = 9 excluded
-        assert theorem_hypotheses(4, 3, 4) is HypothesisCase.K4_CASE_B
+        assert theorem_hypotheses(4, 3, 4) is HypothesisCase.SEMIPRIMITIVE
 
     def test_case_a_characterization(self):
         for p in primes_upto(199):
             for m in range(1, 13):
-                got = theorem_hypotheses(3, p, m) is HypothesisCase.K3_CASE_A
+                got = theorem_hypotheses(3, p, m) is HypothesisCase.CASE_A
                 expected = p % 3 == 1 and m % 3 == 0
                 assert got is expected, (p, m)
 
     def test_case_tags_agree_with_congruences(self):
         for (k, p, m) in in_scope_instances(10 ** 5):
             case = theorem_hypotheses(k, p, m)
-            if case is HypothesisCase.K3_CASE_A:
-                assert p % 3 == 1 and m % 3 == 0
-            elif case is HypothesisCase.K3_CASE_B:
-                assert p % 3 == 2 and m % 2 == 0
-            elif case is HypothesisCase.K4_CASE_A:
-                assert p % 4 == 1 and m % 4 == 0
-            elif case is HypothesisCase.K4_CASE_B:
-                assert p % 4 == 3 and m % 2 == 0
-            # case (b) is exactly the semiprimitive situation
-            semis = is_semiprimitive(k, p)
-            assert semis is (case in (HypothesisCase.K3_CASE_B, HypothesisCase.K4_CASE_B))
+            assert (case is HypothesisCase.CASE_A) is (p % k == 1 and m % k == 0), (k, p, m)
+            semiprimitive = is_semiprimitive(k, p) and m % 2 == 0
+            assert (case is HypothesisCase.SEMIPRIMITIVE) is semiprimitive, (k, p, m)

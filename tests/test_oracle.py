@@ -184,11 +184,6 @@ class TestDenseSpectrum:
         assert s.loops == 8
         assert sum(v * e for v, e in s.entries) == 8
 
-    def test_rejects_over_cap(self):
-        d = DenseGraph(np.zeros((3, 3), dtype=np.uint8))
-        with pytest.raises(CapExceeded):
-            dense_spectrum(d, cap=2)
-
     def test_rejects_irregular(self):
         adj = np.zeros((3, 3), dtype=np.uint8)
         adj[0, 1] = adj[1, 0] = 1

@@ -74,7 +74,7 @@ class TestGPk3CaseB:
 
     def test_exactly_three_distinct_eigenvalues(self):
         for (k, p, m) in in_scope_instances(10 ** 5):
-            if theorem_hypotheses(k, p, m) in (HypothesisCase.K3_CASE_B, HypothesisCase.K4_CASE_B):
+            if theorem_hypotheses(k, p, m) is HypothesisCase.SEMIPRIMITIVE:
                 assert len(gp_spectrum(GraphSpec(k, p, m)).entries) == 3
 
 
@@ -100,7 +100,7 @@ class TestGPk4:
 
     def test_case_a_has_five_distinct_eigenvalues(self):
         for (k, p, m) in in_scope_instances(10 ** 6, ks=(4,)):
-            if theorem_hypotheses(k, p, m) is HypothesisCase.K4_CASE_A:
+            if theorem_hypotheses(k, p, m) is HypothesisCase.CASE_A:
                 assert len(gp_spectrum(GraphSpec(4, p, m)).entries) == 5
 
 
