@@ -16,7 +16,7 @@ from .oracle import (DenseGraph, WeightDistribution, build_graph, char_sum_spect
 from .spectra import (GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum,
                       gpsum_spectrum, spectrum_of)
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "DenseGraph", "EnergyReport", "FamilyWitness", "FieldSpec", "GPSpecError", "GraphSpec",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BadInput, BadP, NoSolution
 from .ff import is_prime
@@ -101,6 +102,7 @@ def pair_pow(pair: tuple[int, int], e: int, coeff: int) -> tuple[int, int]:
     return mul_pair(square, pair, coeff) if e & 1 else square
 
 
+@lru_cache(maxsize=128)
 def _base(n: int, k: int) -> tuple[int, int]:
     """(u, v) >= 0 with n = u^2 + d*v^2, d = 3 (k = 3) or 1 (k = 4), n prime.
 

@@ -1,11 +1,11 @@
 """Exact arithmetic in F_{p^m}, k-th power residues and hypothesis checks.
 
-A field is modelled explicitly: a deterministic irreducible modulus, a
-deterministic primitive element, and elements encoded as integers in
-``[0, q)`` whose base-p digits are the coefficient vector in the
-polynomial basis (digit i = coefficient of x^i).  The encoding keeps
-elements hashable and cheap while still being, literally, a coefficient
-vector.
+A field is modelled explicitly: the smallest irreducible modulus (by
+Ben-Or's test), the smallest primitive element, and elements encoded as
+integers in ``[0, q)`` whose base-p digits are the coefficient vector in the
+polynomial basis (digit i = coefficient of x^i): hashable and cheap, yet
+literally a coefficient vector.  The power and trace tables are read-only
+numpy arrays, which the oracles index as they are.
 
 The case analysis for the closed spectral formulas lives here as well:
 ``theorem_hypotheses`` classifies a triple (k, p, m) as ``CASE_A``
@@ -14,6 +14,7 @@ the tag does not repeat k, which the caller holds.
 """
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ _EXP_BLOCK = 4096
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the prime bases 2..41, deterministic only below 3.3e24.
 
@@ -130,41 +132,24 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test of a monic f of degree m >= 2: x^(p^m) = x mod f, and
-    gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m."""
-    m = len(f) - 1
-    x = [0, 1]
-    xq = _poly_powmod(x, p ** m, f, p)
-    if _trim([(c1 - c2) % p for c1, c2 in _pad(xq, x)]):
-        return False
-    for ell in prime_factors(m):
-        xr = _poly_powmod(x, p ** (m // ell), f, p)
-        diff = _trim([(c1 - c2) % p for c1, c2 in _pad(xr, x)])
-        g = _poly_gcd(f, diff, p)
-        if len(g) - 1 != 0:
+    """Ben-Or test of a monic f of degree m: gcd(x^(p^i) - x, f) = 1 for
+    every i <= m/2.  A reducible f has a factor of some degree i <= m/2, and
+    that factor divides x^(p^i) - x."""
+    xi = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        xi = _poly_powmod(xi, p, f, p)
+        diff = _trim([(c - (j == 1)) % p for j, c in enumerate(xi + [0, 0])])
+        if len(_poly_gcd(f, diff, p)) > 1:
             return False
     return True
 
 
-def _pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m minimizing the base-p encoding of the
-    non-leading coefficients (reproducible across runs)."""
-    if m == 1:
-        return (0, 1)
-    for v in range(p ** m):
-        coeffs, vv = [], v
-        for _ in range(m):
-            coeffs.append(vv % p)
-            vv //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    non-leading coefficients (reproducible across runs); x for m = 1."""
+    # product varies its last digit fastest, so reversed it counts up the encodings
+    tails = (list(reversed(digits)) + [1] for digits in itertools.product(range(p), repeat=m))
+    return tuple(next(f for f in tails if _is_irreducible(f, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +169,13 @@ class FieldSpec:
 
     Immutable after construction; all operations are pure, so instances are
     safe to share between threads.  Elements are ints in [0, q) encoding
-    base-p coefficient vectors.  The exponential and trace tables are built
-    lazily, once, on first use, and both from F_p-linearity: ``exp_table``
-    applies multiplication by the generator, a matrix on digit vectors, to
-    blocks of powers with numpy; ``trace_table`` extends the traces of the
-    basis x^i one digit position at a time.  ``mul`` alone knows the modulus:
-    it supplies the matrix's columns and the traces of the basis.
+    base-p coefficient vectors.  The exponential and trace tables are
+    read-only int64 numpy arrays, built lazily, once, on first use, and both
+    from F_p-linearity: ``exp_table`` applies multiplication by the
+    generator, a matrix on digit vectors, to blocks of powers; ``trace_table``
+    takes the trace of the basis x^i as that of the matrix of multiplication
+    by x^i, and extends it over the digits.  ``mul`` alone knows the modulus:
+    it supplies the entries of both matrices.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], generator: int):
@@ -198,8 +184,8 @@ class FieldSpec:
         self.q = p ** m
         self.modulus = modulus
         self.generator = generator
-        self._exp: list[int] | None = None
-        self._trace: list[int] | None = None
+        self._exp: np.ndarray | None = None
+        self._trace: np.ndarray | None = None
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, m={self.m}, modulus={list(self.modulus)}, g={self.generator})"
@@ -250,49 +236,58 @@ class FieldSpec:
     # -- tables ---------------------------------------------------------------
 
     @property
-    def exp_table(self) -> list[int]:
-        """exp_table[i] = generator**i for i in [0, q-1).
+    def exp_table(self) -> np.ndarray:
+        """exp_table[i] = generator**i for i in [0, q-1), a read-only int64 array.
 
-        Multiplying by the generator is an F_p-linear map M on digit
-        vectors; column j of M is the digit vector of g * x^j, from ``mul``.
-        Rows of a block of consecutive powers times (M^B)^T give the next B
-        powers, so after a first block built by doubling, the table grows
-        one block of _EXP_BLOCK powers per matrix product.
+        Multiplying by the generator g is F_p-linear on digit vectors: row j
+        of the matrix S is the digit vector of g * x^j, from ``mul``, so a row
+        of digits times S gives the digits of its product by g.  A block of B
+        consecutive powers times S^B gives the next B, so after a first block
+        built by doubling, the table grows one block of _EXP_BLOCK powers per
+        matrix product.
         """
         if self._exp is None:
             import numpy as np
 
             p, m, n = self.p, self.m, self.q - 1
-            step = np.array([self.coeffs(self.mul(self.generator, p ** j)) for j in range(m)],
-                            dtype=np.int64).T
+            step = np.array([self.coeffs(self.mul(self.generator, p ** j)) for j in range(m)], dtype=np.int64)
             # Entries of both factors lie in [0, p), so each entry of a product
             # sums m terms below (p-1)^2: m * (p-1)^2 < 2^63 for every
             # q <= FIELD_CAP, and int64 never wraps.
             block = np.zeros((1, m), dtype=np.int64)
             block[0, 0] = 1
             while len(block) < min(n, _EXP_BLOCK):
-                block = np.concatenate([block, block @ step.T % p])
+                block = np.concatenate([block, block @ step % p])
                 step = step @ step % p
             weights = p ** np.arange(m, dtype=np.int64)
-            exp = (block @ weights).tolist()
-            while len(exp) < n:
-                block = block @ step.T % p
-                exp += (block @ weights).tolist()
-            del exp[n:]
+            codes = [block @ weights]
+            while len(codes) * len(block) < n:
+                block = block @ step % p
+                codes.append(block @ weights)
+            exp = np.concatenate(codes)[:n]
+            exp.flags.writeable = False
             self._exp = exp
         return self._exp
 
     @property
-    def trace_table(self) -> list[int]:
-        """trace_table[code] = Tr_{q/p}(code), via F_p-linearity on the basis:
-        digit i of the code adds digit * Tr(x^i), so the table over the first
-        i + 1 digits is p copies of the table over the first i, copy d
-        shifted by d * Tr(x^i)."""
+    def trace_table(self) -> np.ndarray:
+        """trace_table[code] = Tr_{q/p}(code), a read-only int64 array.
+
+        Tr(a) is the trace of the matrix of multiplication by a, whose entry
+        (j, j) for a = x^i is digit j of x^i * x^j, from ``mul``.  Digit i of
+        a code adds digit * Tr(x^i), so the table over the first i + 1 digits
+        is p copies of the table over the first i, copy d shifted by
+        d * Tr(x^i).
+        """
         if self._trace is None:
-            table = [0]
-            for i in range(self.m):
-                b = trace(self, self.from_coeffs([0] * i + [1]))
-                table = [(d * b + t) % self.p for d in range(self.p) for t in table]
+            import numpy as np
+
+            p, m = self.p, self.m
+            table = np.zeros(1, dtype=np.int64)
+            for i in range(m):
+                b = sum(self.coeffs(self.mul(p ** i, p ** j))[j] for j in range(m))
+                table = np.add.outer(np.arange(p) * b, table).ravel() % p
+            table.flags.writeable = False
             self._trace = table
         return self._trace
 
@@ -346,7 +341,7 @@ def kth_power_residues(f: FieldSpec, k: int) -> frozenset[int]:
         raise BadInput(f"k = {k} must be positive")
     if (f.q - 1) % k != 0:
         raise BadK(f"k = {k} does not divide q - 1 = {f.q - 1}")
-    return frozenset(f.exp_table[::k])
+    return frozenset(f.exp_table[::k].tolist())
 
 
 def theorem_hypotheses(k: int, p: int, m: int) -> HypothesisCase:

@@ -125,9 +125,9 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
     (sum graph); complement variants flip the off-diagonal bits.
 
     The automorphism is x -> w^k x, w the generator: its orbits are the
-    cosets w^j R_k, j < k, as the rows of exp_table read k apart, and a
-    rotation multiplies by w^k in R_k, which every one of the four edge rules
-    respects.
+    cosets w^j R_k, j < k, the field's exp_table read k apart (a view of the
+    read-only table, not a copy), and a rotation multiplies by w^k in R_k,
+    which every one of the four edge rules respects.
     """
     import numpy as np
 
@@ -135,9 +135,8 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
     if q > dense_cap:
         raise CapExceeded(f"q = {q} exceeds the dense cap {dense_cap}")
     fld = make_field(g.p, g.m)
-    residues = kth_power_residues(fld, g.k)
     in_r = np.zeros(q, dtype=np.uint8)
-    in_r[list(residues)] = 1
+    in_r[list(kth_power_residues(fld, g.k))] = 1
 
     summing = g.variant in (Variant.GPSUM, Variant.GPSUM_COMPLEMENT)
     adj = in_r[_code_table(g.p, g.m, 1 if summing else -1)]
@@ -145,7 +144,7 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
         diag = np.diag(adj).copy()
         adj = 1 - adj
         np.fill_diagonal(adj, diag)
-    return DenseGraph(adj, np.asarray(fld.exp_table).reshape(-1, g.k).T)
+    return DenseGraph(adj, fld.exp_table.reshape(-1, g.k).T)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def _coset_trace_counts(fld: FieldSpec, k: int) -> list[list[int]]:
     i < (q-1)/k, w the generator: the trace tallies of the coset w^j R_k."""
     import numpy as np
 
-    traces = np.asarray(fld.trace_table)[np.asarray(fld.exp_table)]
+    traces = fld.trace_table[fld.exp_table]
     return [np.bincount(traces[j::k], minlength=fld.p).tolist() for j in range(k)]
 
 
@@ -215,7 +214,7 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> np.ndarray:
+def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Jacobi in round-robin order: each round rotates away its disjoint
     off-diagonal pairs at once, until the off-diagonal Frobenius norm drops
     below _JACOBI_OFF_TOL at the start of a sweep."""
@@ -227,7 +226,7 @@ def _jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> 
         return np.diag(a).copy()
     off_mask = ~np.eye(n, dtype=bool)
     rounds = _round_robin(n)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         # summed from the off-diagonal entries themselves: the difference
         # of two large sums would bottom out at cancellation noise
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
@@ -249,7 +248,7 @@ def _jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> 
             cols_i, cols_j = a[:, i], a[:, j]
             a[:, i] = cols_i * c - cols_j * s
             a[:, j] = cols_i * s + cols_j * c
-    raise NoConvergence(max_sweeps)
+    raise NoConvergence(_JACOBI_MAX_SWEEPS)
 
 
 def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:

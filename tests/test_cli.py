@@ -528,6 +528,20 @@ class TestBaseSolves:
         assert code == 0 and 0 < len(calls) <= most, calls
 
 
+def test_big_p_proved_prime_and_solved_once(capsys):
+    """A closed-form command tests its p once and solves its base pair once,
+    however many layers ask."""
+    from gpspec import dioph, ff
+
+    p = 10 ** 99 + 289                          # the least prime above 10^99 with p = 1 (mod 4)
+    ff.is_prime.cache_clear()
+    dioph._base.cache_clear()
+    code, _, _ = run_cli(["energy", "-k", "4", "-p", str(p), "-m", "40"], capsys)
+    assert code == 0
+    assert ff.is_prime.cache_info().misses == 1
+    assert dioph._base.cache_info().misses == 1
+
+
 def _decimal(n: int) -> str:
     """str(n) past the interpreter's int/str digit limit."""
     limit = sys.get_int_max_str_digits()

@@ -2,11 +2,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import in_scope_instances, primes_upto
 from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime
-from gpspec.ff import HypothesisCase, is_prime, kth_power_residues, make_field, theorem_hypotheses, trace
+from gpspec.ff import (HypothesisCase, _is_irreducible, is_prime, kth_power_residues, make_field,
+                       theorem_hypotheses, trace)
 from referees import is_semiprimitive, iterated_exp_table, scan_generator
 
 
@@ -77,9 +79,23 @@ class TestMakeField:
         assert f.generator == 3  # smallest primitive root of 7
 
     def test_f343_modulus_matches_exhaustive_scan(self):
-        f = make_field(7, 3)
-        assert f.modulus == _scan_smallest_irreducible(7, 3)
-        assert f.modulus == (2, 0, 0, 1)  # x^3 + 2
+        assert make_field(7, 3).modulus == (2, 0, 0, 1)  # x^3 + 2
+        fields = [(p, m) for p, m in _prime_powers_upto(4096) if m >= 2]
+        assert len(fields) == 40
+        for p, m in fields:
+            assert make_field(p, m).modulus == _scan_smallest_irreducible(p, m), (p, m)
+
+    def test_is_irreducible_matches_trial_division(self):
+        """Ben-Or's test against trial division on every monic f of small degree."""
+        top_degree = {2: 8, 3: 5, 5: 4, 7: 3, 11: 3}
+        checked = 0
+        for p, top in top_degree.items():
+            for m in range(2, top + 1):
+                for tail in itertools.product(range(p), repeat=m):
+                    f = list(tail) + [1]
+                    assert _is_irreducible(f, p) == _irreducible_by_trial_division(f, p), (p, f)
+                    checked += 1
+        assert checked == 3487
 
     @pytest.mark.parametrize("p,m", [(2, 4), (3, 4), (5, 2), (7, 3), (13, 2), (2, 10)])
     def test_generator_has_full_order(self, p, m):
@@ -158,9 +174,9 @@ class TestTrace:
             assert trace(f, f.add(a, b)) == (trace(f, a) + trace(f, b)) % p
 
     def test_trace_table_matches_op(self):
-        for p, m in [(5, 2), (2, 6), (3, 4), (7, 3), (13, 1)]:
+        for p, m in [(5, 2), (2, 6), (3, 4), (7, 3), (13, 1), (2, 10), (3, 6)]:
             f = make_field(p, m)
-            assert f.trace_table == [trace(f, a) for a in range(f.q)], (p, m)
+            assert f.trace_table.tolist() == [trace(f, a) for a in range(f.q)], (p, m)
 
     def test_rejects_foreign_element(self):
         with pytest.raises(BadInput):
@@ -175,12 +191,12 @@ class TestExpTable:
     def test_matches_iterated_mul_to_4096(self):
         for p, m in _prime_powers_upto(4096):
             f = make_field(p, m)
-            assert f.exp_table == iterated_exp_table(f), (p, m)
+            assert f.exp_table.tolist() == iterated_exp_table(f), (p, m)
 
     @pytest.mark.parametrize("p,m", [(2, 16), (7, 6), (3, 10)])
     def test_matches_iterated_mul_on_large_fields(self, p, m):
         f = make_field(p, m)
-        assert f.exp_table == iterated_exp_table(f)
+        assert f.exp_table.tolist() == iterated_exp_table(f)
 
     def test_int64_headroom_near_field_cap(self):
         f = make_field(1021, 2)
@@ -189,6 +205,16 @@ class TestExpTable:
         rng = random.Random(1021)
         for i in rng.sample(range(f.q - 2), 2000):
             assert exp[i + 1] == f.mul(exp[i], f.generator), i
+
+
+class TestTableTypes:
+    def test_tables_are_read_only_int64_arrays(self):
+        f = make_field(3, 4)
+        for table in (f.exp_table, f.trace_table):
+            assert isinstance(table, np.ndarray) and table.dtype == np.int64
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert all(type(x) is int for x in kth_power_residues(f, 4))
 
 
 class TestPowerResidues:

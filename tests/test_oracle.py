@@ -256,13 +256,14 @@ class TestDenseSpectrum:
                     assert np.allclose(dense_eigenvalues(split, engine=engine), expected, rtol=0, atol=1e-9), \
                         (k, p, m, variant, engine, split.orbits.shape)
 
-    def test_jacobi_no_convergence_reports_sweeps(self):
+    def test_jacobi_no_convergence_reports_sweeps(self, monkeypatch):
+        from gpspec import oracle
         from gpspec.errors import NoConvergence
-        from gpspec.oracle import _jacobi_eigenvalues
 
+        monkeypatch.setattr(oracle, "_JACOBI_MAX_SWEEPS", 1)
         adj = build_graph(GraphSpec(3, 2, 4)).adjacency
         with pytest.raises(NoConvergence) as err:
-            _jacobi_eigenvalues(adj, max_sweeps=1)
+            oracle._jacobi_eigenvalues(adj)
         assert err.value.sweeps == 1
 
 
