@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .energy import case_a_equienergetic
-from .errors import BadInput
 from .lift import levels
 
 #: Default number of levels probed.
@@ -73,8 +72,6 @@ def find_equienergetic_family(p: int, k: int, t: int | None = None, s: int = 0,
     the equienergy verdict (sign criterion) and the interval condition.
     For k=3 a given t must be the minimal exponent; k=4 takes t = 1, s = 0.
     """
-    if k not in (3, 4):
-        raise BadInput(f"k = {k} not in {{3, 4}}")
     witnesses = []
     for lvl in levels(p, k, ell_max, t, s):
         x, y = lvl.pair

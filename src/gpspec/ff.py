@@ -174,8 +174,8 @@ class FieldSpec:
     from F_p-linearity: ``exp_table`` applies multiplication by the
     generator, a matrix on digit vectors, to blocks of powers; ``trace_table``
     takes the trace of the basis x^i as that of the matrix of multiplication
-    by x^i, and extends it over the digits.  ``mul`` alone knows the modulus:
-    it supplies the entries of both matrices.
+    by x^i, and extends it over the digits.  ``mul`` and ``pow`` alone read
+    the modulus; ``mul`` supplies the entries of both matrices.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], generator: int):
@@ -215,9 +215,8 @@ class FieldSpec:
         return self.from_coeffs(-x for x in self.coeffs(a))
 
     def mul(self, a: int, b: int) -> int:
-        prod = _poly_rem(_poly_mul(_trim(list(self.coeffs(a))), _trim(list(self.coeffs(b))), self.p),
-                         list(self.modulus), self.p)
-        return self.from_coeffs(prod + [0] * (self.m - len(prod)))
+        prod = _poly_mul(_trim(list(self.coeffs(a))), _trim(list(self.coeffs(b))), self.p)
+        return self.from_coeffs(_poly_rem(prod, list(self.modulus), self.p))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -225,13 +224,7 @@ class FieldSpec:
                 raise ZeroDivisionError("inverse of zero")
             return 1 if e == 0 else 0
         e %= self.q - 1
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        return self.from_coeffs(_poly_powmod(list(self.coeffs(a)), e, list(self.modulus), self.p))
 
     # -- tables ---------------------------------------------------------------
 

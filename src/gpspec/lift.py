@@ -48,9 +48,11 @@ def family_base(p: int, k: int, t: int | None, s: int
     k = 3 the minimal exponent t, (x0, y0) and (a0, b0) of ``dioph._k3_family``
     (a given t must be the minimal one, 0 <= s < t); for k = 4 (no offsets:
     t = 1 or None, s = 0) the base solution of p^2 = c^2 + 4 d^2 and (1, 0).
-    Raises BadP unless p = 1 (mod k) is prime."""
+    Raises BadInput for any other k, BadP unless p = 1 (mod k) is prime."""
     if k == 3:
         return dioph._k3_family(p, s, t)
+    if k != 4:
+        raise BadInput(f"k = {k} not in {{3, 4}}")
     if s != 0 or t not in (None, 1):
         raise BadInput("k=4 families take no (t, s) offsets")
     rep = dioph.solve_cd(p, 1)

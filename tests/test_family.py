@@ -57,6 +57,11 @@ class TestFindFamilyK3:
         with pytest.raises(BadInput):
             find_equienergetic_family(31, 3, t=2, s=0, ell_max=3)
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rejects_k_outside_3_4_before_any_level(self, k):
+        with pytest.raises(BadInput, match=f"k = {k} not in"):
+            find_equienergetic_family(13, k, ell_max=0)
+
     def test_propagates_not_found(self, monkeypatch):
         """No minimal exponent found (no even pair at t <= 3): NoSolution."""
         from gpspec import dioph

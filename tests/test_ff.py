@@ -129,6 +129,20 @@ class TestMakeField:
             for e in range(0 if a == 0 else -p, 2 * p):
                 assert f.pow(a, e) == pow(a, e, p)
 
+    @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (7, 2)])
+    def test_pow_matches_repeated_mul(self, p, m):
+        f = make_field(p, m)
+        for a in range(f.q):
+            x = 1
+            for e in range(2 * (f.q - 1)):
+                assert f.pow(a, e) == x, (a, e)
+                x = f.mul(x, a)
+            if a:
+                for e in range(-(f.q - 1), 0):
+                    assert f.mul(f.pow(a, e), f.pow(a, -e)) == 1, (a, e)
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, -1)
+
     def test_rejects_nonprime(self):
         with pytest.raises(NonPrime):
             make_field(6, 1)

@@ -281,6 +281,13 @@ class TestLevels:
         with pytest.raises(error):
             level_exponent(*args)
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rejects_k_outside_3_4(self, k):
+        for call in (lambda: family_base(13, k, None, 0), lambda: level_exponent(13, k, 1),
+                     lambda: list(levels(13, k, 2))):
+            with pytest.raises(BadInput, match=f"k = {k} not in"):
+                call()
+
     def test_deep_level_by_pair_power(self):
         # level 3000 of the p = 7 family, against the norm it must have
         a, b = level(7, 3, 3000, 3, 1).pair

@@ -152,6 +152,30 @@ class TestDenseSpectrum:
         d = DenseGraph(1 - np.eye(4, dtype=np.uint8))
         assert dense_spectrum(d).entries == ((3, 1), (-1, 3))
 
+    @pytest.mark.parametrize("offsets", [(-9e-7, -9e-7, 9e-7, 9e-7), (9e-7, 9e-7, 9e-7, -9e-7)])
+    def test_rounds_within_tolerance(self, monkeypatch, offsets):
+        from gpspec import oracle
+
+        values = np.array([-1.0, -1.0, -1.0, 3.0]) + np.array(offsets)
+        monkeypatch.setattr(oracle, "dense_eigenvalues", lambda d, engine="auto": values)
+        assert dense_spectrum(DenseGraph(1 - np.eye(4, dtype=np.uint8))).entries == ((3, 1), (-1, 3))
+
+    @pytest.mark.parametrize("offset", [2e-6, np.nan])
+    def test_rejects_past_tolerance(self, monkeypatch, offset):
+        from gpspec import oracle
+
+        values = np.array([-1.0, -1.0, -1.0 + offset, 3.0])
+        monkeypatch.setattr(oracle, "dense_eigenvalues", lambda d, engine="auto": values)
+        with pytest.raises(NonIntegral) as err:
+            dense_spectrum(DenseGraph(1 - np.eye(4, dtype=np.uint8)))
+        assert err.value.residual == pytest.approx(offset, nan_ok=True)
+
+    @pytest.mark.parametrize("a,expected", [(np.zeros((0, 0)), []), (np.array([[2.5]]), [2.5])])
+    def test_jacobi_without_off_diagonal_entries(self, a, expected):
+        from gpspec.oracle import _jacobi_eigenvalues
+
+        assert _jacobi_eigenvalues(a).tolist() == expected
+
     def test_jacobi_agrees_with_lapack(self):
         """Every in-scope graph small enough for the Jacobi under engine="auto"."""
         for (k, p, m) in in_scope_instances(JACOBI_MAX_N):
