@@ -243,19 +243,19 @@ class FieldSpec:
             import numpy as np
 
             p, m, n = self.p, self.m, self.q - 1
-            step = np.array([self.coeffs(self.mul(self.generator, p ** j)) for j in range(m)], dtype=np.int64)
-            # Entries of both factors lie in [0, p), so each entry of a product
-            # sums m terms below (p-1)^2: m * (p-1)^2 < 2^63 for every
-            # q <= FIELD_CAP, and int64 never wraps.
+            step = np.array([self.coeffs(self.mul(self.generator, p ** j)) for j in range(m)], dtype=float)
+            # Entries of both factors lie in [0, p), so every partial sum of a
+            # product is an integer of at most m(p-1)^2 <= 2^40 < 2^53 for
+            # q <= FIELD_CAP: float64 products, run by BLAS, are exact.
             block = np.zeros((1, m), dtype=np.int64)
             block[0, 0] = 1
             while len(block) < min(n, _EXP_BLOCK):
-                block = np.concatenate([block, block @ step % p])
+                block = np.concatenate([block, (block @ step).astype(np.int64) % p])
                 step = step @ step % p
-            weights = p ** np.arange(m, dtype=np.int64)
+            weights = p ** np.arange(m, dtype=np.int64)     # codes lie below q: int64 products
             codes = [block @ weights]
             while len(codes) * len(block) < n:
-                block = block @ step % p
+                block = (block @ step).astype(np.int64) % p
                 codes.append(block @ weights)
             exp = np.concatenate(codes)[:n]
             exp.flags.writeable = False

@@ -1,8 +1,8 @@
 """Independent brute-force verification paths.
 
 Nothing in this module knows about quadratic-form representations: graphs
-are built element by element from an explicit field model, eigenvalues come
-from additive character sums or a dense symmetric eigensolver, and code
+are gathered digit by digit from R_k in an explicit field model, eigenvalues
+come from additive character sums or a dense symmetric eigensolver, and code
 weights from trace evaluations.  Agreement of these routes with the closed
 formulas is the central anti-regression property of the repository.
 
@@ -11,7 +11,7 @@ JACOBI_MAX_N vertices (an easy correctness argument and a second numeric
 route that never calls LAPACK), numpy.linalg.eigvalsh above.  The Jacobi
 sweeps in round-robin (Brent-Luk) order: each sweep is n-1 rounds (n rounded
 up to even) of n/2 disjoint index pairs, and one round rotates all of its
-pairs at once with vectorized row and column updates.
+pairs at once, in every block of a stack, with vectorized updates.
 
 Either engine solves the matrix block by block.  A DenseGraph carries the
 orbits of a cyclic vertex permutation sigma that its constructor checks, on
@@ -100,28 +100,27 @@ class DenseGraph:
         return int(sums[0])
 
 
-def _code_table(p: int, m: int, sign: int) -> np.ndarray:
-    """table[v, w] = the code of w + sign*v in F_{p^m}, sign = +-1, as int32.
+def _cayley_adjacency(in_r: np.ndarray, p: int, m: int, sign: int) -> np.ndarray:
+    """adj[v, w] = in_r[code of w + sign*v] in F_{p^m}, sign = +-1, as uint8.
 
-    Codes are base-p digit vectors and addition is digitwise mod p, so the
-    table over the first i+1 digits is p x p blocks of the table over the
-    first i: block (a, b), for digit i of v and of w, shifted by
-    p^i * ((b + sign*a) mod p).
+    Addition is digitwise mod p, so block (a, b) of the matrix over digits
+    0..i of v and w, a and b their digit i, is the matrix over digits 0..i-1
+    with the code's digit i fixed to (b + sign*a) mod p: no q x q index array.
     """
     import numpy as np
 
-    digits = np.arange(p, dtype=np.int32)
+    digits = np.arange(p)
     step = (digits[None, :] + sign * digits[:, None]) % p
-    table = np.zeros((1, 1), dtype=np.int32)
+    adj = in_r.reshape(-1, 1, 1)
     for i in range(m):
         size = p ** i
-        table = (step[:, None, :, None] * size + table[None, :, None, :]).reshape(p * size, p * size)
-    return table
+        adj = adj.reshape(-1, p, size, size)[:, step].transpose(0, 1, 3, 2, 4).reshape(-1, p * size, p * size)
+    return adj.reshape(p ** m, p ** m)
 
 
 def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
-    """Materialize the graph: edge v~w iff w-v in R_k (GP) or v+w in R_k
-    (sum graph); complement variants flip the off-diagonal bits.
+    """Materialize the graph digit by digit: edge v~w iff w-v in R_k (GP) or
+    v+w in R_k (sum graph); complement variants flip the off-diagonal bits.
 
     The automorphism is x -> w^k x, w the generator: its orbits are the
     cosets w^j R_k, j < k, the field's exp_table read k apart (a view of the
@@ -138,7 +137,7 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
     in_r[list(kth_power_residues(fld, g.k))] = 1
 
     summing = g.variant in (Variant.GPSUM, Variant.GPSUM_COMPLEMENT)
-    adj = in_r[_code_table(g.p, g.m, 1 if summing else -1)]
+    adj = _cayley_adjacency(in_r, g.p, g.m, 1 if summing else -1)
     if g.variant in (Variant.GP_COMPLEMENT, Variant.GPSUM_COMPLEMENT):
         adj ^= 1 - np.eye(q, dtype=np.uint8)
     return DenseGraph(adj, fld.exp_table.reshape(-1, g.k).T)
@@ -214,35 +213,41 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Jacobi in round-robin order: each round rotates away its disjoint
     off-diagonal pairs at once, until the off-diagonal Frobenius norm drops
-    below _JACOBI_OFF_TOL at the start of a sweep."""
+    below _JACOBI_OFF_TOL at the start of a sweep.  A stack (N, n, n) gives
+    (N, n): each round rotates the pairs of every block, and a block whose
+    norm has dropped below the tolerance gets no further rotation, so its
+    eigenvalues are bitwise those of a call on that block alone."""
     import numpy as np
 
     a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
+    stack = a if a.ndim == 3 else a[None]
+    n = stack.shape[-1]
     off_mask = ~np.eye(n, dtype=bool)
+    active = np.ones(len(stack), dtype=bool)
     rounds = _round_robin(n)
     for _ in range(_JACOBI_MAX_SWEEPS):
         # summed from the off-diagonal entries themselves: the difference
         # of two large sums would bottom out at cancellation noise
-        off = math.sqrt(float((a[off_mask] ** 2).sum()))
-        if off < _JACOBI_OFF_TOL:
-            return np.sort(np.diag(a))
+        off = np.sqrt((stack[:, off_mask] ** 2).sum(axis=1))
+        active &= ~(off < _JACOBI_OFF_TOL)   # a NaN norm never freezes its block
+        if not active.any():
+            return np.sort(np.diagonal(stack, axis1=1, axis2=2), axis=1).reshape(a.shape[:-1])
         for i, j in rounds:
-            keep = np.abs(a[i, j]) >= _JACOBI_OFF_TOL / (4 * n * n)
-            i, j = i[keep], j[keep]
-            if not len(i):
+            # disjoint pairs: a rotation touches only rows and columns i, j of its block
+            block, pair = np.nonzero(active[:, None] & (abs(stack[:, i, j]) >= _JACOBI_OFF_TOL / (4 * n * n)))
+            if not len(block):
                 continue
-            # disjoint pairs: each rotation touches only rows and columns i, j of its own pair
-            tau = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
+            i, j = i[pair], j[pair]
+            tau = (stack[block, j, j] - stack[block, i, i]) / (2.0 * stack[block, i, j])
             t = np.where(tau == 0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            rows_i, rows_j = a[i, :], a[j, :]
-            a[i, :] = c[:, None] * rows_i - s[:, None] * rows_j
-            a[j, :] = s[:, None] * rows_i + c[:, None] * rows_j
-            cols_i, cols_j = a[:, i], a[:, j]
-            a[:, i] = cols_i * c - cols_j * s
-            a[:, j] = cols_i * s + cols_j * c
+            c = (1.0 / np.hypot(1.0, t))[:, None]
+            s = t[:, None] * c
+            rows_i, rows_j = stack[block, i, :], stack[block, j, :]
+            stack[block, i, :] = c * rows_i - s * rows_j
+            stack[block, j, :] = s * rows_i + c * rows_j
+            cols_i, cols_j = stack[block, :, i], stack[block, :, j]
+            stack[block, :, i] = cols_i * c - cols_j * s
+            stack[block, :, j] = cols_i * s + cols_j * c
     raise NoConvergence(_JACOBI_MAX_SWEEPS)
 
 
@@ -263,8 +268,8 @@ def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:
     - for 0 < j < r/2, the real [[X, -Y], [Y, X]] of B_j = X + iY has the
       spectrum of B_j and of B_(r-j), its conjugate.
     r = 2 gives the blocks A_PP +- A_P,sigma(P) of an involution; r = 1, or
-    no orbits, gives the whole matrix.  LAPACK solves the pair blocks in one
-    batched call; the Jacobi takes one block at a time.
+    no orbits, gives the whole matrix.  Either engine takes each block size
+    in one call: B_0, B_(r/2) and the stack of pair blocks, at most three.
     """
     import numpy as np
 
@@ -282,10 +287,8 @@ def dense_eigenvalues(d: DenseGraph, engine: str = "auto") -> np.ndarray:
         blocks.append(b[:, :, r // 2].real)
     half = np.moveaxis(b[:, :, 1:(r + 1) // 2], 2, 0)
     pairs = np.block([[half.real, -half.imag], [half.imag, half.real]])
-    if engine == "jacobi":
-        values = [_jacobi_eigenvalues(block) for block in blocks + list(pairs)]
-    else:
-        values = [np.linalg.eigvalsh(block) for block in blocks] + [np.linalg.eigvalsh(pairs).ravel()]
+    solve = _jacobi_eigenvalues if engine == "jacobi" else np.linalg.eigvalsh
+    values = [solve(block) for block in blocks] + [solve(pairs).ravel()]
     return np.sort(np.concatenate(values))
 
 

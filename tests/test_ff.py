@@ -7,7 +7,7 @@ import pytest
 
 from conftest import in_scope_instances, primes_upto
 from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime
-from gpspec.ff import (HypothesisCase, _is_irreducible, is_prime, kth_power_residues, make_field,
+from gpspec.ff import (FIELD_CAP, HypothesisCase, _is_irreducible, is_prime, kth_power_residues, make_field,
                        theorem_hypotheses, trace)
 from referees import is_semiprimitive, iterated_exp_table, scan_generator
 
@@ -217,6 +217,16 @@ class TestExpTable:
         exp = f.exp_table
         assert sorted(exp) == list(range(1, f.q))
         rng = random.Random(1021)
+        for i in rng.sample(range(f.q - 2), 2000):
+            assert exp[i + 1] == f.mul(exp[i], f.generator), i
+
+    def test_float_products_exact_for_the_largest_prime_field(self):
+        """m = 1 and p just below FIELD_CAP: partial sums reach (p-1)^2, near 2^40."""
+        p = 1048573
+        assert is_prime(p) and not any(is_prime(n) for n in range(p + 1, FIELD_CAP))
+        f = make_field(p, 1)
+        exp = f.exp_table
+        rng = random.Random(p)
         for i in rng.sample(range(f.q - 2), 2000):
             assert exp[i + 1] == f.mul(exp[i], f.generator), i
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import in_scope_instances
 from gpspec.errors import BadInput, BadK, CapExceeded, NonIntegral, OutOfScope
 from gpspec.ff import kth_power_residues, make_field
-from gpspec.oracle import (JACOBI_MAX_N, DenseGraph, _code_table, _round_robin, build_graph,
+from gpspec.oracle import (JACOBI_MAX_N, DenseGraph, _cayley_adjacency, _round_robin, build_graph,
                            char_sum_spectrum, code_weight_distribution, dense_eigenvalues,
                            dense_spectrum, weight_eigenvalue_check)
 from gpspec.spectra import GraphSpec, Variant, complement_spectrum, gp_spectrum, gpsum_spectrum
@@ -67,16 +67,34 @@ class TestBuildGraph:
         g = GraphSpec(3, 2, 6, Variant.GP_COMPLEMENT)
         assert dense_spectrum(build_graph(g)) == complement_spectrum(gp_spectrum(GraphSpec(3, 2, 6)))
 
-    def test_code_table_matches_field_arithmetic(self):
-        """The digitwise code table against FieldSpec.add and FieldSpec.neg,
-        entry by entry, for every field of an in-scope graph with q <= 125."""
+    def test_cayley_adjacency_matches_field_arithmetic(self):
+        """The digitwise gather of a random 0/1 vector against FieldSpec.add and
+        FieldSpec.neg, entry by entry, for every field of an in-scope graph with q <= 125."""
+        rng = np.random.default_rng(125)
         for p, m in sorted({(p, m) for _, p, m in in_scope_instances(125)}):
             fld = make_field(p, m)
-            diff, total = _code_table(p, m, -1), _code_table(p, m, 1)
-            assert diff.dtype == total.dtype == np.int32
+            in_r = rng.integers(0, 2, fld.q, dtype=np.uint8)
+            diff, total = _cayley_adjacency(in_r, p, m, -1), _cayley_adjacency(in_r, p, m, 1)
+            assert diff.dtype == total.dtype == np.uint8 and diff.shape == total.shape == (fld.q, fld.q)
             for v in range(fld.q):
-                assert diff[v].tolist() == [fld.add(w, fld.neg(v)) for w in range(fld.q)], (p, m, v)
-                assert total[v].tolist() == [fld.add(w, v) for w in range(fld.q)], (p, m, v)
+                assert diff[v].tolist() == [in_r[fld.add(w, fld.neg(v))] for w in range(fld.q)], (p, m, v)
+                assert total[v].tolist() == [in_r[fld.add(w, v)] for w in range(fld.q)], (p, m, v)
+
+    def test_peak_memory_below_four_bytes_per_entry(self):
+        """No q x q index array: the uint8 matrix, its checks and the gather's
+        last step stay below 4 q^2 bytes (an int32 table of codes alone is 4 q^2).
+        A first build makes the field and numpy's lazy imports, which are not counted."""
+        import tracemalloc
+
+        g = GraphSpec(3, 2, 10)
+        build_graph(g)
+        tracemalloc.start()
+        try:
+            build_graph(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.q ** 2, peak / g.q ** 2
 
     @pytest.mark.parametrize("k,p,m", [(3, 2, 4), (3, 5, 2), (4, 3, 4), (4, 7, 2), (3, 2, 10), (4, 3, 6)])
     def test_orbits(self, k, p, m):
@@ -289,6 +307,49 @@ class TestDenseSpectrum:
         with pytest.raises(NoConvergence) as err:
             oracle._jacobi_eigenvalues(adj)
         assert err.value.sweeps == 1
+
+    def test_jacobi_stack_no_convergence_reports_sweeps(self, monkeypatch):
+        """A block already diagonal is frozen; the other still raises."""
+        from gpspec import oracle
+        from gpspec.errors import NoConvergence
+
+        monkeypatch.setattr(oracle, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence) as err:
+            oracle._jacobi_eigenvalues(np.stack([np.diag([1.0, 2.0, 3.0]), 1 - np.eye(3)]))
+        assert err.value.sweeps == 1
+
+    def test_jacobi_empty_stack(self):
+        from gpspec.oracle import _jacobi_eigenvalues
+
+        assert _jacobi_eigenvalues(np.zeros((0, 3, 3))).shape == (0, 3)
+
+    @staticmethod
+    def _jacobi_calls(monkeypatch, d):
+        """The argument of each _jacobi_eigenvalues call of dense_eigenvalues(d, engine="jacobi")."""
+        from gpspec import oracle
+
+        calls, solve = [], oracle._jacobi_eigenvalues
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_jacobi_eigenvalues", lambda a: calls.append(np.array(a)) or solve(a))
+            dense_eigenvalues(d, engine="jacobi")
+        return calls
+
+    def test_jacobi_one_call_per_block_size(self, monkeypatch):
+        assert len(self._jacobi_calls(monkeypatch, build_graph(GraphSpec(3, 2, 6)))) <= 3
+        assert len(self._jacobi_calls(monkeypatch, build_graph(GraphSpec(4, 3, 4)))) == 3    # r = 20 is even
+
+    def test_jacobi_stack_equals_each_block_alone(self, monkeypatch):
+        """Every in-scope graph small enough for the Jacobi under engine="auto",
+        every variant: the frozen batch is bitwise the per-block calls."""
+        from gpspec.oracle import _jacobi_eigenvalues
+
+        for (k, p, m) in in_scope_instances(JACOBI_MAX_N):
+            for variant in Variant:
+                stacks = [a for a in self._jacobi_calls(monkeypatch, build_graph(GraphSpec(k, p, m, variant)))
+                          if a.ndim == 3]
+                assert len(stacks) == 1 and len(stacks[0]) > 1, (k, p, m, variant)
+                alone = np.array([_jacobi_eigenvalues(block) for block in stacks[0]])
+                assert np.array_equal(_jacobi_eigenvalues(stacks[0]), alone), (k, p, m, variant)
 
 
 class TestWeightDistribution:
