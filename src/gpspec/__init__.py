@@ -11,16 +11,16 @@ from .errors import GPSpecError
 from .family import FamilyWitness, find_equienergetic_family, interval_test_k3, interval_test_k4
 from .ff import FieldSpec, HypothesisCase, kth_power_residues, make_field, theorem_hypotheses, trace
 from .lift import level_exponent, levels
-from .oracle import (DenseGraph, WeightDistribution, build_graph, char_sum_spectrum,
-                     code_weight_distribution, dense_spectrum, weight_eigenvalue_check)
+from .oracle import (DenseGraph, build_graph, char_sum_spectrum, code_weight_distribution,
+                     dense_spectrum, weight_eigenvalue_check)
 from .spectra import (GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum,
                       gpsum_spectrum, spectrum_of)
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "DenseGraph", "EnergyReport", "FamilyWitness", "FieldSpec", "GPSpecError", "GraphSpec",
-    "HypothesisCase", "QFRep", "Spectrum", "Variant", "WeightDistribution", "build_graph",
+    "HypothesisCase", "QFRep", "Spectrum", "Variant", "build_graph",
     "char_sum_spectrum", "code_weight_distribution", "complement_spectrum",
     "corollary_condition", "dense_spectrum", "energy_bounds", "find_equienergetic_family",
     "gp_spectrum", "gpsum_spectrum", "interval_test_k3", "interval_test_k4",

@@ -197,18 +197,11 @@ def table_csv(which: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _key_field(key: str) -> str:
-    """A record's key as its line spells it.  Inside a JSON string every '"'
-    is escaped, so in a line the cache wrote this text occurs only where the
-    record's key starts."""
+    """A record's key as its line spells it: ``json.dumps`` with its default
+    separators writes the key as ``"key": <json>``.  Inside a JSON string
+    every '"' is escaped, so in a line the cache wrote this text occurs only
+    where the record's key starts."""
     return '"key": ' + json.dumps(key)
-
-
-def _record_line(key: str, output: str, code: int) -> bytes:
-    """One cache record: ``json.dumps`` of {code, key, output} with sorted
-    keys, spelled out around ``_key_field`` so that lookups search for the
-    text appends write."""
-    line = f'{{"code": {code:d}, {_key_field(key)}, "output": {json.dumps(output)}}}\n'
-    return line.encode("utf-8")
 
 
 def _cache_lookup(path: str, key: str) -> tuple[str, int] | None:
@@ -241,7 +234,7 @@ def _cache_lookup(path: str, key: str) -> tuple[str, int] | None:
 
 
 def _cache_append(path: str, key: str, output: str, code: int) -> None:
-    line = _record_line(key, output, code)
+    line = (json.dumps({"code": code, "key": key, "output": output}, sort_keys=True) + "\n").encode("utf-8")
     with open(path, "ab+") as fh:
         if fh.tell():                   # end a truncated last line before appending
             fh.seek(-1, os.SEEK_END)
@@ -279,21 +272,16 @@ def _resolve_graph(args) -> GraphSpec:
     return GraphSpec(args.k, args.p, m, Variant(args.variant))
 
 
-def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> tuple[list[str], list[str]]:
-    """Run every oracle admitted by the caps; returns (checked, mismatches)."""
-    checked, mismatches = [], []
+def _verify_against_oracles(g: GraphSpec, s: Spectrum, args) -> dict[str, bool]:
+    """Run every oracle admitted by the caps; returns {oracle name: agrees}
+    in the order they ran."""
+    verdicts = {}
     if g.variant is Variant.GP and g.q <= args.char_cap:
-        got = oracle.char_sum_spectrum(g, char_cap=args.char_cap)
-        checked.append("character-sum")
-        if got != s:
-            mismatches.append("character-sum")
+        verdicts["character-sum"] = oracle.char_sum_spectrum(g, char_cap=args.char_cap) == s
     if g.q <= args.dense_cap:
         graph = oracle.build_graph(g, dense_cap=args.dense_cap)
-        got = oracle.dense_spectrum(graph)
-        checked.append("dense-eigensolver")
-        if got != s:
-            mismatches.append("dense-eigensolver")
-    return checked, mismatches
+        verdicts["dense-eigensolver"] = oracle.dense_spectrum(graph) == s
+    return verdicts
 
 
 def cmd_spectrum(args) -> tuple[str, int]:
@@ -301,13 +289,12 @@ def cmd_spectrum(args) -> tuple[str, int]:
     s = spectrum_of(g)
     out = render_spectrum(s, g, args.format)
     if args.verify:
-        checked, mismatches = _verify_against_oracles(g, s, args)
-        if not checked:
+        verdicts = _verify_against_oracles(g, s, args)
+        if not verdicts:
             raise GPSpecError(f"q = {g.p}^{g.m} exceeds every oracle cap; nothing to verify")
-        for name in checked:
-            status = "MISMATCH" if name in mismatches else "ok"
-            out += f"verify[{name}]: {status}\n"
-        if mismatches:
+        for name, agrees in verdicts.items():
+            out += f"verify[{name}]: {'ok' if agrees else 'MISMATCH'}\n"
+        if not all(verdicts.values()):
             return out, 1
     return out, 0
 

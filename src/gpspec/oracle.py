@@ -3,8 +3,9 @@
 Nothing in this module knows about quadratic-form representations: graphs
 are gathered digit by digit from R_k in an explicit field model, eigenvalues
 come from additive character sums or a dense symmetric eigensolver, and code
-weights from trace evaluations.  Agreement of these routes with the closed
-formulas is the central anti-regression property of the repository.
+weights, a weight -> frequency mapping, from trace evaluations.  Agreement of
+these routes with the closed formulas is the central anti-regression property
+of the repository.
 
 The dense eigensolver is hybrid: a hand-rolled Jacobi for graphs up to
 JACOBI_MAX_N vertices (an easy correctness argument and a second numeric
@@ -30,8 +31,6 @@ oracle call does.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 
 from .errors import BadInput, BadK, CapExceeded, NoConvergence, NonIntegral, OutOfScope
 from .ff import FieldSpec, make_field, kth_power_residues
@@ -78,7 +77,8 @@ class DenseGraph:
         if orbits.ndim != 2 or orbits.shape[1] < 1 or orbits.dtype.kind not in "iu" \
                 or not ((0 <= orbits) & (orbits < q)).all():
             raise BadInput(f"orbits must be an (M, r) array of vertex indices below {q}, r >= 1")
-        if len(np.unique(orbits)) != orbits.size:
+        counts = np.bincount(orbits.ravel().astype(np.intp), minlength=q)
+        if counts.max(initial=0) > 1:
             raise BadInput("orbits must be disjoint")
         sigma = np.arange(q)
         sigma[orbits] = np.roll(orbits, -1, axis=1)
@@ -86,7 +86,7 @@ class DenseGraph:
             raise BadInput("orbits must be those of an automorphism of the graph")
         self.adjacency = adjacency
         self.orbits = orbits
-        self.fixed = np.setdiff1d(np.arange(q), orbits)
+        self.fixed = np.flatnonzero(counts == 0)
         self.q = q
         self.loop_count = int(np.trace(adjacency))
 
@@ -317,32 +317,16 @@ def dense_spectrum(d: DenseGraph, engine: str = "auto") -> Spectrum:
 # Irreducible cyclic code weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Hamming weight -> frequency for the trace code attached to (k, q)."""
-
-    entries: tuple[tuple[int, int], ...]
-    order: int
-
-    def __post_init__(self):
-        weights = [w for w, _ in self.entries]
-        if weights != sorted(weights) or len(set(weights)) != len(weights):
-            raise ValueError("entries must be sorted by weight and merged")
-        if sum(f for _, f in self.entries) != self.order:
-            raise ValueError("frequencies must sum to the number of codewords")
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-
 def code_weight_distribution(k: int, p: int, m: int,
-                             char_cap: int = CHAR_CAP) -> WeightDistribution:
-    """Weights of the q codewords (Tr(gamma w^(k i)))_{i < n}, w primitive.
+                             char_cap: int = CHAR_CAP) -> dict[int, int]:
+    """Weights of the q codewords (Tr(gamma w^(k i)))_{i < n}, w primitive,
+    as a weight -> frequency mapping in ascending weight order.
 
     Needs k | (q-1)/(p-1) so the code length is n = (q-1)/k.  Codewords of
     the gamma = w^j with equal j mod k are cyclic shifts of each other, so
     one weight per coset is evaluated and tallied with frequency n; the
-    zero codeword contributes weight 0 once.
+    zero codeword contributes weight 0 once, and the frequencies sum to
+    1 + k*n = q.
     """
     q = p ** m
     if q > char_cap:
@@ -350,10 +334,10 @@ def code_weight_distribution(k: int, p: int, m: int,
     if ((q - 1) // (p - 1)) % k != 0:
         raise OutOfScope(f"{k} does not divide (q-1)/(p-1) = {(q - 1) // (p - 1)}")
     n = (q - 1) // k
-    tally: Counter[int] = Counter({0: 1})
+    tally = {0: 1}
     for counts in _coset_trace_counts(make_field(p, m), k):
-        tally[n - counts[0]] += n
-    return WeightDistribution(tuple(sorted(tally.items())), q)
+        tally[n - counts[0]] = tally.get(n - counts[0], 0) + n
+    return dict(sorted(tally.items()))
 
 
 def weight_eigenvalue_check(k: int, p: int, m: int, char_cap: int = CHAR_CAP) -> bool:
@@ -368,13 +352,13 @@ def weight_eigenvalue_check(k: int, p: int, m: int, char_cap: int = CHAR_CAP) ->
     dist = code_weight_distribution(k, p, m, char_cap=char_cap)
     q = p ** m
     n = (q - 1) // k
+    # lambda falls strictly as w rises, so ascending weights give the
+    # descending eigenvalues of Spectrum.entries
     mapped = []
-    for w, freq in dist.entries:
-        num = n * (p - 1) - p * w
-        lam, rem = divmod(num, p - 1)
+    for w, freq in dist.items():
+        lam, rem = divmod(n * (p - 1) - p * w, p - 1)
         if rem:
             return False
         mapped.append((lam, freq))
-    mapped.sort(key=lambda t: -t[0])
     spectrum = char_sum_spectrum(GraphSpec(k, p, m), char_cap=char_cap)
     return tuple(mapped) == spectrum.entries

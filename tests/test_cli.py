@@ -69,6 +69,22 @@ class TestExitCodes:
         assert "verify[character-sum]: MISMATCH" in out
         assert "verify[dense-eigensolver]: ok" in out
 
+    def test_verify_dense_mismatch_exits_1(self, capsys, monkeypatch):
+        wrong = gp_spectrum(GraphSpec(3, 7, 3))
+        monkeypatch.setattr(cli.oracle, "dense_spectrum", lambda d, engine="auto": wrong)
+        code, out, _ = run_cli(["verify", "-k", "3", "-p", "2", "-m", "4"], capsys)
+        assert code == 1
+        assert "verify[character-sum]: ok\nverify[dense-eigensolver]: MISMATCH\n" in out
+
+    @pytest.mark.parametrize("args,message", [
+        (["-p", "9", "-m", "2"], "error: p = 9 is not prime"),
+        (["-p", "7", "-m", "0"], "error: m = 0 must be >= 1"),
+    ])
+    def test_rejects_field_parameters(self, args, message, capsys):
+        code, out, err = run_cli(["spectrum", "-k", "3", *args], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(message)
+
     def test_verify_gpsum_uses_dense_oracle(self, capsys):
         code, out, _ = run_cli(["spectrum", "-k", "3", "-p", "5", "-m", "2",
                                 "--variant", "gpsum", "--verify"], capsys)
@@ -592,6 +608,18 @@ def test_golden_cli_outputs():
 
 
 class TestCacheRobustness:
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_append_spells_the_record_by_hand(self, code, tmp_path):
+        """A record is byte for byte the hand spelling {code, key, output}
+        with ', ' and ': ' separators, and holds the lookup needle."""
+        key = '{"a": "x\\"y", "b": "\\\\"}'
+        output = "Übersicht: λ\t= -12\nvérifié ✓\n"
+        path = tmp_path / "cache.jsonl"
+        cli._cache_append(str(path), key, output, code)
+        spelled = f'{{"code": {code:d}, "key": {json.dumps(key)}, "output": {json.dumps(output)}}}\n'
+        assert path.read_bytes() == spelled.encode("utf-8")
+        assert cli._key_field(key).encode("utf-8") in path.read_bytes()
+
     def test_truncated_line_is_a_miss(self, tmp_path, capsys):
         cache = tmp_path / "cache.jsonl"
         args = ["spectrum", "-k", "3", "-p", "7", "-m", "3"]
@@ -773,6 +801,21 @@ class TestParserOnce:
         monkeypatch.setenv("GPSPEC_ELL_MAX", "3")
         _, three, _ = run_cli(["lift", "-k", "4", "-p", "5"], capsys)
         assert len(one.splitlines()) == 2 and len(three.splitlines()) == 4
+
+
+def test_verify_leaves_numpy_ma_out():
+    """Under a numpy whose import leaves numpy.ma out (2.x), so does verify;
+    under one that loads it at import this holds trivially."""
+    script = ("import contextlib, io, sys\n"
+              "import numpy\n"
+              "before = 'numpy.ma' in sys.modules\n"
+              "from gpspec.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    main(['verify', '-k', '3', '-p', '7', '-m', '3'])\n"
+              "print(before or 'numpy.ma' not in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "True\n", proc.stderr
 
 
 def test_numpy_loads_only_for_the_oracles():

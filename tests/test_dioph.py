@@ -60,6 +60,10 @@ class TestSolveAB:
         with pytest.raises(BadP):
             solve_ab(21, 1)  # composite
 
+    def test_rejects_level_zero(self):
+        with pytest.raises(BadInput, match="r = 0 must be >= 1"):
+            solve_ab(7, 0)
+
     def test_admissible_solution_is_unique_up_to_sign(self):
         # across the in-scope primes, exactly one |a| passes the side conditions
         for p in P1MOD3:
@@ -95,6 +99,10 @@ class TestSolveCD:
     def test_rejects_wrong_residue(self):
         with pytest.raises(BadP):
             solve_cd(3, 1)
+
+    def test_rejects_level_zero(self):
+        with pytest.raises(BadInput, match="t = 0 must be >= 1"):
+            solve_cd(5, 0)
 
     @pytest.mark.parametrize("p", P1MOD4)
     @pytest.mark.parametrize("t", [1, 2])

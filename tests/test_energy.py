@@ -153,6 +153,10 @@ class TestCorollaryCondition:
         rep = solve_cd(5, 1)  # 27 > 16
         assert corollary_condition(4, rep, 5 ** 4) is False
 
+    def test_rejects_k_outside_3_4(self):
+        with pytest.raises(OutOfScope, match="k = 5"):
+            corollary_condition(5, solve_ab(7, 2), 7 ** 6)
+
     def test_rejects_mismatched_q(self):
         with pytest.raises(OutOfScope):
             corollary_condition(3, solve_ab(7, 1), 7 ** 6)

@@ -147,6 +147,10 @@ class TestMakeField:
         with pytest.raises(NonPrime):
             make_field(6, 1)
 
+    def test_rejects_degree_zero(self):
+        with pytest.raises(BadInput, match="m = 0 must be >= 1"):
+            make_field(7, 0)
+
     def test_rejects_over_cap(self):
         with pytest.raises(CapExceeded):
             make_field(2, 21)
@@ -257,6 +261,10 @@ class TestPowerResidues:
     def test_rejects_k_not_dividing(self):
         with pytest.raises(BadK):
             kth_power_residues(make_field(7, 1), 4)
+
+    def test_rejects_k_zero(self):
+        with pytest.raises(BadInput, match="k = 0 must be positive"):
+            kth_power_residues(make_field(7, 1), 0)
 
     def test_residues_are_actual_kth_powers(self):
         f = make_field(2, 4)

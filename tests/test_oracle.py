@@ -247,6 +247,8 @@ class TestDenseSpectrum:
             DenseGraph(np.array([[0, 1], [0, 0]]))
         with pytest.raises(BadInput):
             DenseGraph(np.array([[2, 0], [0, 2]]))
+        with pytest.raises(BadInput, match="adjacency must be square"):
+            DenseGraph(np.zeros((2, 3), dtype=np.uint8))
 
     @pytest.mark.parametrize("entry", [257, 1.5, -255])
     def test_dense_graph_checks_entries_before_any_cast(self, entry):
@@ -267,6 +269,27 @@ class TestDenseSpectrum:
         for bad in ([[0, 3]], [[-1, 1]], [[0.0, 2.0]], [0, 2], np.zeros((1, 0), dtype=int)):
             with pytest.raises(BadInput, match="vertex indices"):
                 DenseGraph(path, np.array(bad))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_fixed_vertices_are_those_in_no_orbit(self, dtype):
+        """Random disjoint rows on the empty graph, which every permutation
+        preserves, against the set difference; a shared vertex is rejected."""
+        rng = np.random.default_rng(25)
+        for q, M, r in [(1, 0, 1), (9, 0, 3), (9, 9, 1), (9, 4, 1), (12, 3, 4), (30, 7, 2), (40, 5, 5)]:
+            empty = np.zeros((q, q), dtype=np.uint8)
+            for _ in range(5):
+                orbits = rng.permutation(q)[:M * r].reshape(M, r).astype(dtype)
+                d = DenseGraph(empty, orbits)
+                assert np.array_equal(d.fixed, np.setdiff1d(np.arange(q), orbits)), (q, M, r)
+                if M * r >= 2:
+                    shared = orbits.copy()
+                    shared.flat[-1] = shared.flat[0]
+                    with pytest.raises(BadInput, match="disjoint"):
+                        DenseGraph(empty, shared)
+
+    def test_rejects_unknown_engine(self):
+        with pytest.raises(BadInput, match="unknown engine"):
+            dense_eigenvalues(DenseGraph(1 - np.eye(4, dtype=np.uint8)), engine="qr")
 
     @pytest.mark.parametrize("engine", ["jacobi", "lapack"])
     def test_odd_rotation_without_fixed_point(self, engine):
@@ -355,19 +378,25 @@ class TestDenseSpectrum:
 class TestWeightDistribution:
     def test_gp_3_16(self):
         dist = code_weight_distribution(3, 2, 4)
-        assert dist.entries == ((0, 1), (2, 10), (4, 5))
+        assert tuple(dist.items()) == ((0, 1), (2, 10), (4, 5))
 
     def test_gp_3_343(self):
         dist = code_weight_distribution(3, 7, 3)
-        assert dist.entries == ((0, 1), (90, 114), (96, 114), (108, 114))
+        assert tuple(dist.items()) == ((0, 1), (90, 114), (96, 114), (108, 114))
 
     def test_zero_codeword(self):
         dist = code_weight_distribution(4, 5, 4)
-        assert dist.as_dict()[0] == 1
+        assert dist[0] == 1
 
     def test_rejects_out_of_scope(self):
         with pytest.raises(OutOfScope):
             code_weight_distribution(3, 7, 2)
+
+    def test_ascending_weights_count_every_codeword(self):
+        for (k, p, m) in in_scope_instances(10 ** 4):
+            dist = code_weight_distribution(k, p, m)
+            assert list(dist) == sorted(dist), (k, p, m)
+            assert sum(dist.values()) == p ** m, (k, p, m)
 
     def test_rejects_over_cap(self):
         with pytest.raises(CapExceeded):
@@ -385,7 +414,7 @@ class TestWeightDistribution:
             w = sum(1 for i in range(n)
                     if fld.trace_table[fld.mul(code, exp[(k * i) % (q - 1)])] != 0)
             tally[w] = tally.get(w, 0) + 1
-        assert code_weight_distribution(k, p, m).entries == tuple(sorted(tally.items()))
+        assert tuple(code_weight_distribution(k, p, m).items()) == tuple(sorted(tally.items()))
 
 
 class TestWeightEigenvalueCheck:

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_scope_instances
+from gpspec import spectra
 from gpspec.dioph import solve_ab, solve_cd
-from gpspec.errors import HasLoops, OutOfScope
+from gpspec.errors import HasLoops, NonIntegralEigenvalue, OutOfScope
 from gpspec.ff import HypothesisCase, theorem_hypotheses
 from gpspec.spectra import (GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum,
                             gpsum_spectrum, k3_case_a_eigenvalues, k4_case_a_eigenvalues,
@@ -32,6 +33,19 @@ class TestSpectrumType:
     def test_rejects_nonzero_trace_for_loopless(self):
         with pytest.raises(ValueError):
             Spectrum.from_pairs([(2, 1), (1, 3)], 2, 4)
+
+    def test_rejects_zero_multiplicity(self):
+        with pytest.raises(ValueError, match="multiplicities must be positive"):
+            Spectrum(((2, 1), (-1, 0)), 2, 1)
+
+    def test_rejects_wrong_second_moment(self):
+        # trace 2 + 0 - 2 = 0, but the squares sum to 4 + 0 + 2 = 6, not 4 * 2
+        with pytest.raises(ValueError, match="second moment"):
+            Spectrum(((2, 1), (0, 1), (-1, 2)), 2, 4)
+
+    def test_exact_div_rejects_a_remainder(self):
+        with pytest.raises(NonIntegralEigenvalue, match="7 is not divisible by 2"):
+            spectra._exact_div(7, 2)
 
     def test_from_pairs_merges_and_sorts(self):
         s = Spectrum.from_pairs([(-1, 2), (3, 1), (-1, 1)], 3, 4)
@@ -124,6 +138,10 @@ class TestGPSum:
         assert s.entries == ((114, 1), (12, 57), (9, 57), (2, 57), (-2, 57), (-9, 57), (-12, 57))
         assert s.loops == 114
         assert sum(v * e for v, e in s.entries) == 114  # trace = loop count
+
+    def test_wrong_variant_rejected(self):
+        with pytest.raises(ValueError, match="expects the GPSUM variant"):
+            gpsum_spectrum(GraphSpec(3, 7, 3))
 
     def test_gpsum_even_q_equals_gp(self):
         g = GraphSpec(3, 2, 4, Variant.GPSUM)
