@@ -16,7 +16,7 @@ from .oracle import (DenseGraph, build_graph, char_sum_spectrum, code_weight_dis
 from .spectra import (GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum,
                       gpsum_spectrum, spectrum_of)
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "DenseGraph", "EnergyReport", "FamilyWitness", "FieldSpec", "GPSpecError", "GraphSpec",

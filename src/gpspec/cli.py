@@ -17,8 +17,8 @@ path that cannot be read or written (a directory, a file in a missing
 directory) exits 2 with nothing on stdout.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
-unusable cache path or out-of-scope parameters (with a diagnostic naming
-the violated hypothesis).
+unusable cache path, out-of-scope parameters (with a diagnostic naming
+the violated hypothesis) or a command that ran out of memory.
 
 Each subcommand declares only the flags it reads, so the cache key holds
 only values that can change the output (the oracle caps of spectrum without
@@ -482,6 +482,8 @@ def main(argv=None) -> int:
             output, code = args.func(args)
         except (GPSpecError, ValueError) as exc:
             return _error(str(exc))
+        except MemoryError:
+            return _error("out of memory; lower the cap (--dense-cap, --char-cap or --ell-max)")
     if args.cache:
         try:
             _cache_append(args.cache, key, output, code)

@@ -15,6 +15,7 @@ the tag does not repeat k, which the caller holds.
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
 from functools import lru_cache
 
@@ -26,39 +27,75 @@ FIELD_CAP = 1 << 20
 #: Powers per matrix product when ``FieldSpec.exp_table`` is built (a power of two).
 _EXP_BLOCK = 4096
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the prime bases 2..41, deterministic only below 3.3e24.
-
-    The least composite that passes all thirteen bases is
-    3317044064679887385961981 (about 3.3e24); above it the answer is a
-    strong probable-prime test, and a composite can pass.
-    """
+    """Baillie-PSW: trial division by the primes to 41, then a strong
+    probable-prime test to base 2 and a strong Lucas test with Selfridge's
+    parameters (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp. 1980).
+    It is exact below 2^64, and no composite that passes both is known."""
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     if n < 43 * 43:                     # its least prime factor would be at most 41
         return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d 2^s, d odd
+    x = pow(2, (n - 1) >> s, n)         # passes iff x = 1 or x^(2^r) = -1 for some r < s
+    if x != 1:
+        for _ in range(s):
             if x == n - 1:
                 break
+            x = x * x % n
         else:
             return False
-    return True
+    return _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas test of an odd n > 1 with Selfridge's parameters: D the
+    first of 5, -7, 9, -11, ... with (D/n) = -1 (a square has none), P = 1,
+    Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes iff U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some r < s."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    for size in itertools.count(5, 2):
+        D = size if size % 4 == 1 else -size
+        symbol = _jacobi(D, n)
+        if symbol == -1:
+            break
+        if symbol == 0 and size % n:    # gcd(D, n) is a proper factor of n
+            return False
+    Q, half = (1 - D) // 4, (n + 1) // 2      # half * 2 = 1 (mod n)
+    s = ((n + 1) & -(n + 1)).bit_length() - 1    # n + 1 = d 2^s, d odd
+    u, v, qk = 1, 1, Q % n              # U_j, V_j and Q^j at j = 1, the top bit of d
+    for bit in bin((n + 1) >> s)[3:]:   # j -> 2j, then -> 2j + 1 where d has a 1
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    for _ in range(s):
+        if u == 0 or v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
 
 
 def prime_factors(n: int) -> list[int]:

@@ -1,11 +1,11 @@
 """Independent brute-force verification paths.
 
 Nothing in this module knows about quadratic-form representations: graphs
-are gathered digit by digit from R_k in an explicit field model, eigenvalues
-come from additive character sums or a dense symmetric eigensolver, and code
-weights, a weight -> frequency mapping, from trace evaluations.  Agreement of
-these routes with the closed formulas is the central anti-regression property
-of the repository.
+are gathered digit by digit from R_k or its complement in F_q*, in an explicit
+field model, eigenvalues come from additive character sums or a dense
+symmetric eigensolver, and code weights, a weight -> frequency mapping, from
+trace evaluations.  Agreement of these routes with the closed formulas is the
+central anti-regression property of the repository.
 
 The dense eigensolver is hybrid: a hand-rolled Jacobi for graphs up to
 JACOBI_MAX_N vertices (an easy correctness argument and a second numeric
@@ -119,13 +119,14 @@ def _cayley_adjacency(in_r: np.ndarray, p: int, m: int, sign: int) -> np.ndarray
 
 
 def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
-    """Materialize the graph digit by digit: edge v~w iff w-v in R_k (GP) or
-    v+w in R_k (sum graph); complement variants flip the off-diagonal bits.
+    """Materialize the Cayley graph digit by digit: edge v~w iff w-v in S
+    (GP, complement) or v+w in S (sum graphs), S = R_k, or S-bar = F_q* - R_k
+    for the complements; the sum complement has a loop at v iff 2v in S-bar.
 
     The automorphism is x -> w^k x, w the generator: its orbits are the
     cosets w^j R_k, j < k, the field's exp_table read k apart (a view of the
     read-only table, not a copy), and a rotation multiplies by w^k in R_k,
-    which every one of the four edge rules respects.
+    which maps R_k and S-bar onto themselves: every edge rule respects it.
     """
     import numpy as np
 
@@ -133,13 +134,12 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
     if q > dense_cap:
         raise CapExceeded(f"q = {q} exceeds the dense cap {dense_cap}")
     fld = make_field(g.p, g.m)
-    in_r = np.zeros(q, dtype=np.uint8)
-    in_r[list(kth_power_residues(fld, g.k))] = 1
-
-    summing = g.variant in (Variant.GPSUM, Variant.GPSUM_COMPLEMENT)
-    adj = _cayley_adjacency(in_r, g.p, g.m, 1 if summing else -1)
+    in_s = np.zeros(q, dtype=np.uint8)
+    in_s[list(kth_power_residues(fld, g.k))] = 1
     if g.variant in (Variant.GP_COMPLEMENT, Variant.GPSUM_COMPLEMENT):
-        adj ^= 1 - np.eye(q, dtype=np.uint8)
+        in_s[1:] ^= 1                   # code 0 is the field's zero, in neither set
+    summing = g.variant in (Variant.GPSUM, Variant.GPSUM_COMPLEMENT)
+    adj = _cayley_adjacency(in_s, g.p, g.m, 1 if summing else -1)
     return DenseGraph(adj, fld.exp_table.reshape(-1, g.k).T)
 
 

@@ -92,6 +92,23 @@ class TestExitCodes:
         assert "verify[dense-eigensolver]: ok" in out
         assert "character-sum" not in out
 
+    def test_verify_sum_complement(self, capsys):
+        code, out, _ = run_cli(["verify", "-k", "3", "-p", "2", "-m", "4",
+                                "--variant", "gpsum-comp"], capsys)
+        assert code == 0
+        assert out.endswith("verify[dense-eigensolver]: ok\n")
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path):
+        def exhausted(g, dense_cap):
+            raise MemoryError
+        monkeypatch.setattr(cli.oracle, "build_graph", exhausted)
+        cache = tmp_path / "cache.jsonl"
+        code, out, err = run_cli(["verify", "-k", "3", "-p", "2", "-m", "4", "--cache", str(cache)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory; lower the cap")
+        assert not cache.exists()
+
 
 class TestSpectrumCommand:
     def test_lift_route_k4(self, capsys):
@@ -367,11 +384,20 @@ class TestFormerHangs:
 
 class TestCompositeModulus:
     def test_pseudoprime_exits_2(self, capsys):
-        # passes ff.is_prime (exact only below it); the base solve notices
+        # passes Miller-Rabin to every prime base up to 41; the strong Lucas
+        # test rejects it, so the scope check answers before the base solve
         code, out, err = run_cli(["spectrum", "-k", "3", "-p", "3317044064679887385961981",
                                   "-m", "3"], capsys)
         assert code == 2 and out == ""
-        assert "is 3317044064679887385961981 prime?" in err
+        assert "p = 3317044064679887385961981 is not prime" in err
+
+    def test_pseudoprime_k4_exits_2(self, capsys):
+        # -1 is a square mod both of its factors, so a k = 4 base solve would
+        # succeed and describe a field that does not exist
+        code, out, err = run_cli(["spectrum", "-k", "4", "-p", "3317044064679887385961981",
+                                  "-m", "4"], capsys)
+        assert code == 2 and out == ""
+        assert "p = 3317044064679887385961981 is not prime" in err
 
 
 def test_import_leaves_sympy_out():

@@ -27,7 +27,8 @@ CORE_K4 = [(p, t) for p in primes_upto(500) if p % 4 == 1 for t in range(1, 5)]
 SCAN_LIMIT = 10 ** 5
 SCAN_K3 = [(p, r) for p, r in CORE_K3 if scan_steps(4 * p ** r, 27) <= SCAN_LIMIT]
 SCAN_K4 = [(p, t) for p, t in CORE_K4 if scan_steps(p ** (2 * t), 4) <= SCAN_LIMIT]
-# the least composite that passes ff.is_prime, with n = 1 (mod 12)
+# the least composite that passes Miller-Rabin to every prime base up to 41,
+# with n = 1 (mod 12)
 PSEUDOPRIME = 3317044064679887385961981
 
 
@@ -339,11 +340,14 @@ class TestCoreTerminates:
                 continue
             assert u * u + d * v * v == n
 
-    def test_pseudoprime_passing_is_prime(self):
-        # is_prime accepts it (ff.is_prime is exact only below it); the k = 3
-        # base solve finds no primitive cube root of unity and says so
+    def test_pseudoprime_stops_at_the_primality_check(self):
+        # is_prime rejects it, so both solvers stop before the base solve; the
+        # k = 3 base solve alone finds no primitive cube root of unity and says so
+        for solve in (solve_ab, solve_cd):
+            with pytest.raises(BadP, match="must be a prime"):
+                solve(PSEUDOPRIME, 1)
         with pytest.raises(NoSolution, match="prime"):
-            solve_ab(PSEUDOPRIME, 1)
+            dioph._base(PSEUDOPRIME, 3)
         u, v = dioph._base(PSEUDOPRIME, 4)      # -1 is a square mod both factors
         assert u * u + v * v == PSEUDOPRIME
 

@@ -1,5 +1,6 @@
 """Field construction, trace, power residues and the hypothesis cases."""
 import itertools
+import math
 import random
 
 import numpy as np
@@ -7,9 +8,15 @@ import pytest
 
 from conftest import in_scope_instances, primes_upto
 from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime
-from gpspec.ff import (FIELD_CAP, HypothesisCase, _is_irreducible, is_prime, kth_power_residues, make_field,
-                       theorem_hypotheses, trace)
+from gpspec.ff import (FIELD_CAP, HypothesisCase, _is_irreducible, _jacobi, _strong_lucas, is_prime,
+                       kth_power_residues, make_field, theorem_hypotheses, trace)
 from referees import is_semiprimitive, iterated_exp_table, scan_generator
+
+#: first terms of OEIS A001262 and A217255
+A001262 = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281, 74665, 80581,
+           85489, 88357, 90751)
+A217255 = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439, 100127,
+           113573, 115639, 130139)
 
 
 def _poly_divides(g, f, p):
@@ -62,9 +69,42 @@ class TestIsPrime:
         # prime base up to 37, so the base 41 is what rejects it
         assert not is_prime(318665857834031151167461)
 
-    def test_stated_bound_is_where_it_stops_being_exact(self):
-        # 1287836182261 * 2575672364521 (about 3.3e24) passes all thirteen bases
-        assert is_prime(3317044064679887385961981)
+    def test_rejects_the_pseudoprime_to_every_base_to_41(self):
+        # 1287836182261 * 2575672364521 (about 3.3e24) passes Miller-Rabin to
+        # all thirteen prime bases up to 41; the strong Lucas test rejects it
+        assert not is_prime(3317044064679887385961981)
+
+    @pytest.mark.parametrize("bound", [10 ** 5, pytest.param(10 ** 6, marks=pytest.mark.slow)])
+    def test_matches_sieve_to(self, bound):
+        assert [n for n in range(bound) if is_prime.__wrapped__(n)] == primes_upto(bound - 1)
+
+    def test_rejects_strong_pseudoprimes(self):
+        """The first terms of OEIS A001262 (strong pseudoprimes to base 2), which
+        the strong Lucas test rejects, and of A217255 (strong Lucas
+        pseudoprimes, Selfridge's parameters), which it accepts and the base-2
+        test rejects."""
+        for n in A001262:
+            assert not is_prime(n) and not _strong_lucas(n), n
+        for n in A217255:
+            assert not is_prime(n) and _strong_lucas(n), n
+
+    def test_accepts_mersenne_primes(self):
+        assert is_prime(2 ** 89 - 1) and is_prime(2 ** 521 - 1)
+        assert not is_prime(2 ** 89 + 1) and not is_prime(2 ** 67 - 1)
+
+    def test_jacobi_matches_euler_criterion(self):
+        """(a/n) against the product of a^((r-1)/2) mod r over the prime
+        factors r of n, with multiplicity, for odd n < 200."""
+        for n in range(1, 200, 2):
+            factors, rest = [], n
+            for r in primes_upto(n):
+                while rest % r == 0:
+                    factors.append(r)
+                    rest //= r
+            for a in range(-n, 2 * n):
+                legendre = [pow(a, (r - 1) // 2, r) for r in factors]
+                expected = 0 if 0 in legendre else math.prod(1 if x == 1 else -1 for x in legendre)
+                assert _jacobi(a, n) == expected, (a, n)
 
 
 class TestMakeField:

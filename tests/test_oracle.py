@@ -7,10 +7,10 @@ import pytest
 from conftest import in_scope_instances
 from gpspec.errors import BadInput, BadK, CapExceeded, NonIntegral, OutOfScope
 from gpspec.ff import kth_power_residues, make_field
-from gpspec.oracle import (JACOBI_MAX_N, DenseGraph, _cayley_adjacency, _round_robin, build_graph,
+from gpspec.oracle import (DENSE_CAP, JACOBI_MAX_N, DenseGraph, _cayley_adjacency, _round_robin, build_graph,
                            char_sum_spectrum, code_weight_distribution, dense_eigenvalues,
                            dense_spectrum, weight_eigenvalue_check)
-from gpspec.spectra import GraphSpec, Variant, complement_spectrum, gp_spectrum, gpsum_spectrum
+from gpspec.spectra import GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum, gpsum_spectrum
 from referees import char_sum_eigenvalue
 
 
@@ -51,17 +51,25 @@ class TestBuildGraph:
                 assert d.adjacency[v, w] == ((w - v) % 7 in residues)
 
     def test_complement_flips_off_diagonal(self):
-        gp = build_graph(GraphSpec(3, 2, 4))
-        comp = build_graph(GraphSpec(3, 2, 4, Variant.GP_COMPLEMENT))
-        assert np.array_equal(comp.adjacency + gp.adjacency,
-                              1 - np.eye(16, dtype=np.uint8))
+        """The difference graph on S-bar = F_q* - R_k is 1 - I - A_GP, on every
+        in-scope graph with q <= DENSE_CAP."""
+        for (k, p, m) in in_scope_instances(DENSE_CAP):
+            gp = build_graph(GraphSpec(k, p, m))
+            comp = build_graph(GraphSpec(k, p, m, Variant.GP_COMPLEMENT))
+            expected = 1 - np.eye(p ** m, dtype=np.int16) - gp.adjacency
+            assert comp.adjacency.dtype == np.uint8 and np.array_equal(comp.adjacency, expected), (k, p, m)
 
-    def test_sum_complement_keeps_diagonal(self):
-        gpsum = build_graph(GraphSpec(3, 7, 1, Variant.GPSUM))
-        comp = build_graph(GraphSpec(3, 7, 1, Variant.GPSUM_COMPLEMENT))
-        assert np.array_equal(np.diag(comp.adjacency), np.diag(gpsum.adjacency))
-        off = ~np.eye(7, dtype=bool)
-        assert np.array_equal(comp.adjacency[off], 1 - gpsum.adjacency[off])
+    @pytest.mark.parametrize("k,p,m", [(3, 7, 1), (3, 2, 4)])
+    def test_sum_complement_is_sum_graph_on_s_bar(self, k, p, m):
+        """adj[v, w] = [v + w in S-bar], S-bar = F_q* - R_k, entry by entry
+        against FieldSpec.add: at odd q a loop wherever 2v lies in S-bar, and
+        no edge v ~ -v."""
+        fld = make_field(p, m)
+        residues = kth_power_residues(fld, k)
+        comp = build_graph(GraphSpec(k, p, m, Variant.GPSUM_COMPLEMENT))
+        for v in range(fld.q):
+            sums = [fld.add(v, w) for w in range(fld.q)]
+            assert comp.adjacency[v].tolist() == [int(x != 0 and x not in residues) for x in sums], v
 
     def test_complement_spectrum_agrees_with_dense(self):
         g = GraphSpec(3, 2, 6, Variant.GP_COMPLEMENT)
@@ -311,7 +319,7 @@ class TestDenseSpectrum:
         fld = make_field(p, m)
         involution = [fld.add(x, 1) if p == 2 else fld.neg(x) for x in range(fld.q)]
         pairs = np.array([(x, y) for x, y in enumerate(involution) if x < y])
-        for variant in (Variant.GP, Variant.GPSUM, Variant.GP_COMPLEMENT):
+        for variant in Variant:
             d = build_graph(GraphSpec(k, p, m, variant))
             whole = DenseGraph(d.adjacency)
             halved = DenseGraph(d.adjacency, pairs)
@@ -450,6 +458,24 @@ class TestFullRangeSweeps:
         for (k, p, m) in in_scope_instances(300_000):
             g = GraphSpec(k, p, m)
             assert char_sum_spectrum(g) == gp_spectrum(g), (k, p, m)
+
+    def test_sum_complement_to_dense_cap(self):
+        """The sum graph on S-bar, by LAPACK: at odd q its spectrum is
+        {[q-1-n]^1} u {[+-(1+lambda)]^(e/2)} over the non-principal [lambda]^e
+        of GP(k, q), with q-1-n loops; at even q, where v + w = w - v, it is
+        the complement's.  Either way its energy is the complement's."""
+        for (k, p, m) in in_scope_instances(DENSE_CAP):
+            q = p ** m
+            gp = gp_spectrum(GraphSpec(k, p, m))
+            comp = complement_spectrum(gp)
+            expected = comp
+            if q % 2:
+                pairs = [(comp.principal, 1)]
+                for lam, e in gp.nonprincipal():
+                    pairs += [(1 + lam, e // 2), (-1 - lam, e // 2)]
+                expected = Spectrum.from_pairs(pairs, comp.principal, q, loops=comp.principal)
+            got = dense_spectrum(build_graph(GraphSpec(k, p, m, Variant.GPSUM_COMPLEMENT)), engine="lapack")
+            assert got == expected and got.energy() == comp.energy(), (k, p, m)
 
     def test_dense_agreement_to_dense_cap(self):
         for (k, p, m) in in_scope_instances(1500):
