@@ -1,9 +1,10 @@
 """Quadratic-form representations with side conditions.
 
 This module alone states the norm form of each k: its coefficient
-(``form_coeff``), its target at exponent e (``norm_target``) and the
-admissible pairs (``check_pair``; ``belongs`` matches a solved pair, a
-``QFRep`` keyed by its k, to GP(k, q)),
+(``form_coeff``), its target at exponent e (``norm_target``), the norm of a
+family's base pair (``base_norm``) and the admissible pairs (``check_pair``,
+``check_admissible``; ``belongs`` matches a solved pair, a ``QFRep`` keyed by
+its k, to GP(k, q)),
 
     4 * p^e   = a^2 + 27*b^2   with a = 1 (mod 3), gcd(a, p) = 1   (k = 3)
     p^(2e)    = c^2 +  4*d^2   with c = 1 (mod 4), gcd(c, p) = 1   (k = 4)
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInput, BadP, NoSolution
-from .ff import is_prime
+from .ff import _jacobi, is_prime
 
 
 #: k -> the coefficient of y^2 in the norm form of its pairs
@@ -70,12 +71,32 @@ def _admissible(x: int, k: int, q: int) -> bool:
 
 def check_pair(p: int, k: int, e: int, x: int, y: int) -> None:
     """Raise AssertionError unless (x, y) is an admissible pair of k at
-    exponent e: x^2 + form_coeff(k) y^2 = norm_target(p, k, e), x = 1 (mod k)
-    and gcd(x, p) = 1."""
+    exponent e: x^2 + form_coeff(k) y^2 = norm_target(p, k, e), and x passes
+    ``check_admissible``."""
     if x * x + form_coeff(k) * y * y != norm_target(p, k, e):
         raise AssertionError(f"norm identity of k = {k} failed at {p}^{e}")
+    check_admissible(p, k, e, x)
+
+
+def check_admissible(p: int, k: int, e: int, x: int) -> None:
+    """Raise AssertionError unless x = 1 (mod k) and gcd(x, p) = 1, the side
+    conditions of a pair of k at exponent e; linear in the digits of x."""
     if not _admissible(x, k, p):
         raise AssertionError(f"congruence/coprimality of k = {k} failed at {p}^{e}")
+
+
+def base_norm(p: int, k: int, t: int, x0: int, y0: int) -> int:
+    """The norm N of the base pair (x0, y0) of a family with exponent step t,
+    the factor by which ``norm_target`` grows from one level to the next:
+    p^t (k = 3) or p^(2t) (k = 4).  Raises AssertionError unless
+    x0^2 + form_coeff(k) y0^2 = N and x0 y0 != 0, so that the base's square
+    is not real (the condition under which ``lift.levels`` checks the norm
+    at three levels only)."""
+    norm = p ** t if k == 3 else p ** (2 * t)
+    if x0 * x0 + form_coeff(k) * y0 * y0 != norm or x0 * y0 == 0:
+        raise AssertionError(f"base ({x0}, {y0}) of k = {k} does not have norm "
+                             f"{p}^{t * (k - 2)} with x0 y0 != 0")
+    return norm
 
 
 def belongs(rep: QFRep, k: int, q: int) -> bool:
@@ -107,14 +128,18 @@ def _base(n: int, k: int) -> tuple[int, int]:
     """(u, v) >= 0 with n = u^2 + d*v^2, d = 3 (k = 3) or 1 (k = 4), n prime.
 
     r = 2w + 1 or w has r^2 = -d (mod n) for a primitive k-th root of unity
-    w = z^((n-1)/k), z below 2 ln(n)^2 + 3 (Bach's bound under GRH); then
-    Cornacchia: Euclid on (n, r) down to the first remainder u < sqrt(n).
-    Both steps are bounded and checked (w^k = 1 is Fermat's test of n):
-    NoSolution if either fails.
+    w = z^((n-1)/k), z below 2 ln(n)^2 + 3 (Bach's bound under GRH); for
+    k = 4 a z with Jacobi symbol (z/n) = 1 is skipped before its modexp, as
+    then w^2 = 1 for prime n.  Then Cornacchia: Euclid on (n, r) down to the
+    first remainder u < sqrt(n).  Both steps are bounded and checked (w^k = 1
+    is Fermat's test of n): NoSolution if either fails.
     """
     d = 3 if k == 3 else 1
     candidates = range(2, 3 + int(2 * math.log(n) ** 2)) if (n - 1) % k == 0 else ()
+    r = 0                                    # no root when every candidate is skipped
     for z in candidates:
+        if k == 4 and _jacobi(z, n) == 1:
+            continue
         w = pow(z, (n - 1) // k, n)
         r = 2 * w + 1 if k == 3 else w
         if (r * r + d) % n == 0 or pow(w, k, n) != 1:   # a root, or z^(n-1) != 1: n composite

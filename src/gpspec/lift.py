@@ -13,10 +13,26 @@ The k = 3 coefficient pair is (a, b) = (a0, b0) * (x, y)^ell with
 4 p^s = a0^2 + 27 b0^2 ((a0, b0) = (-2, 0) for s = 0); the k = 4 pair is
 (c, d) = (c1, d1)^ell with p^2 = c1^2 + 4 d1^2.  A family's base pairs come
 from one base solve (``family_base``), and ``levels`` alone makes the level
-pairs, one multiplication a level, each passing ``dioph.check_pair``.
-``level_exponent`` names the graph of a level, GP(k, p^m) with
-m = k*(t*ell + s), whose spectrum the closed formulas give
-(``spectra.spectrum_of``).
+pairs, one multiplication by the base a level.  ``level_exponent`` names the
+graph of a level, GP(k, p^m) with m = k*(t*ell + s), whose spectrum the
+closed formulas give (``spectra.spectrum_of``).
+
+Each level pair A_l is checked exactly, at a cost linear in its digits:
+levels 1 to 3 pass ``dioph.check_pair`` (norm identity and admissibility),
+later levels ``dioph.check_admissible``, and every level from 3 on the
+two-term recurrence A_l = 2 x0 A_(l-1) - N A_(l-2) in both components, with
+x0 the first component of the base pair and N its norm (``dioph.base_norm``).
+These imply the norm identity at every level.  Read a pair (a, b) as
+a + b sqrt(-coeff); a sequence obeying the recurrence is
+A_l = alpha pi^l + gamma conj(pi)^l with pi = x0 + y0 sqrt(-coeff), whose
+norm is (|alpha|^2 + |gamma|^2 + 2 Re(alpha conj(gamma) w^l)) N^l with
+w = pi/conj(pi) on the unit circle, while the target is N^l times that of
+level 0.  So the exact norm at levels l, l+1, l+2 makes Re(z w^j) equal for
+j = 0, 1, 2, z = alpha conj(gamma) w^l; as u_j = Re(z w^j) obeys
+u_(j+2) = (w + conj(w)) u_(j+1) - u_j, that forces z = 0 unless w = +-1,
+that is unless x0 y0 = 0, which ``dioph.base_norm`` rules out.  Then
+alpha conj(gamma) = 0 and the norm is the target at every level
+(tests/test_lift.py::TestLevelCheck checks both halves).
 """
 from __future__ import annotations
 
@@ -68,17 +84,28 @@ def level_exponent(p: int, k: int, ell: int, t: int | None = None, s: int = 0) -
 
 
 def levels(p: int, k: int, ell_max: int, t: int | None = None, s: int = 0) -> Iterator[Level]:
-    """Levels 1..ell_max of the family of GP(k, p), each pair checked."""
+    """Levels 1..ell_max of the family of GP(k, p), each pair checked exactly
+    (the module docstring says how) before it is yielded; a pair that fails
+    raises AssertionError."""
     t, base, base_ab = family_base(p, k, t, s)
     coeff = dioph.form_coeff(k)
+    trace, norm = 2 * base[0], dioph.base_norm(p, k, t, *base)
     m, root, q, raw = k * s, p ** s, p ** (k * s), (1, 0)
+    root_step, q_step = p ** t, p ** (k * t)
+    prev = prev2 = None
     for ell in range(1, ell_max + 1):
         raw = mul_pair(base, raw, coeff)
         pair = mul_pair(base_ab, raw, coeff)
-        dioph.check_pair(p, k, t * ell + s, *pair)
+        if ell >= 3 and pair != (trace * prev[0] - norm * prev2[0], trace * prev[1] - norm * prev2[1]):
+            raise AssertionError(f"recurrence of k = {k} failed at level {ell} of the family of {p}")
+        if ell <= 3:
+            dioph.check_pair(p, k, t * ell + s, *pair)
+        else:
+            dioph.check_admissible(p, k, t * ell + s, pair[0])
+        prev2, prev = prev, pair
         m += k * t
-        root *= p ** t
-        q *= p ** (k * t)
+        root *= root_step
+        q *= q_step
         yield Level(ell, t, m, q, root, raw, pair)
 
 

@@ -363,6 +363,34 @@ class TestCoreTerminates:
         assert time.perf_counter() - start < 5.0
 
 
+class TestBaseCandidates:
+    """For k = 4 the base solve skips a candidate z with Jacobi symbol 1
+    before its modexp: for prime n such a z gives w^2 = 1, never a root."""
+
+    def test_residues_cost_no_modexp(self, monkeypatch):
+        # 2 to 10 are all squares mod 1009, so z = 11 is the one candidate raised
+        n = 1009
+        assert all(pow(z, (n - 1) // 2, n) == 1 for z in range(2, 11))
+        calls = []
+        monkeypatch.setattr(dioph, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+        u, v = dioph._base.__wrapped__(n, 4)
+        assert u * u + v * v == n
+        assert [a[0] for a in calls] == [11]
+
+    def test_skip_changes_no_answer(self):
+        # the first non-residue gives the root, so the answer is the
+        # Cornacchia reduction of that root, as without the skip
+        for n in primes_upto(3000):
+            if n % 4 != 1:
+                continue
+            z = next(z for z in range(2, n) if pow(z, (n - 1) // 2, n) == n - 1)
+            r = pow(z, (n - 1) // 4, n)
+            a, u = n, min(r, n - r)
+            while u * u > n:
+                a, u = u, a % u
+            assert dioph._base(n, 4) == (u, math.isqrt(n - u * u))
+
+
 class TestFormerHangs:
     """The direct -m route at exponents where the y-scans took over 20 s."""
 

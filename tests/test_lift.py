@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import primes_upto
+from gpspec import dioph, lift
 from gpspec.dioph import check_pair, minimal_t
 from gpspec.errors import BadInput, BadP
 from gpspec.lift import (derived_ab, derived_cd, derived_spectrum_k3, derived_spectrum_k4,
@@ -307,3 +309,140 @@ class TestInvariantCheckers:
     def test_k4_checker_rejects_bad_pair(self):
         with pytest.raises(AssertionError):
             check_pair(5, 4, 1, 3, 2)  # 3 != 1 mod 4
+
+
+def _representations(target, coeff):
+    """Every integer pair (x, y) with x^2 + coeff*y^2 = target, all signs."""
+    out = set()
+    for y in range(math.isqrt(target // coeff) + 1):
+        x = math.isqrt(target - coeff * y * y)
+        if x * x + coeff * y * y == target:
+            out |= {(x, y), (-x, y), (x, -y), (-x, -y)}
+    return sorted(out)
+
+
+def _mixing(base, coeff, a1, a2):
+    """|alpha conj(gamma)| of the sequence through A_1 = a1, A_2 = a2 that
+    obeys the recurrence of the base pair: A_l = alpha pi^l + gamma conj(pi)^l,
+    with a pair (a, b) read as a + b i sqrt(coeff)."""
+    root = math.sqrt(coeff)
+    pi = complex(base[0], base[1] * root)
+    pib = pi.conjugate()
+    z1, z2 = (complex(a, b * root) for a, b in (a1, a2))
+    # alpha pi + gamma pib = z1 and alpha pi^2 + gamma pib^2 = z2
+    det = pi * pib * (pib - pi)
+    alpha = (z1 * pib * pib - z2 * pib) / det
+    gamma = (z2 * pi - z1 * pi * pi) / det
+    return abs(alpha * gamma.conjugate())
+
+
+class TestLevelCheck:
+    """``levels`` checks the exact norm at levels 1 to 3 only, the two-term
+    recurrence from level 3 on, and admissibility at every level; the lift
+    module docstring argues that these together imply the norm at every level."""
+
+    @pytest.mark.parametrize("p,k,s", [(31, 3, 0), (7, 3, 1), (7, 3, 2), (5, 4, 0), (13, 4, 0)])
+    def test_two_levels_do_not_suffice_and_three_do(self, p, k, s):
+        # every integer sequence obeying the recurrence whose first two terms
+        # have the target norms: some fail at level 3, and those that pass
+        # levels 1 to 3 pass every level up to 12
+        t, base, _ = family_base(p, k, None, s)
+        coeff, n = dioph.form_coeff(k), dioph.base_norm(p, k, t, *base)
+        target = [dioph.norm_target(p, k, t * ell + s) for ell in range(13)]
+        failed = passed = 0
+        for a1 in _representations(target[1], coeff):
+            for a2 in _representations(target[2], coeff):
+                seq = [None, a1, a2]
+                for _ in range(3, 13):
+                    seq.append(tuple(2 * base[0] * u - n * v for u, v in zip(seq[-1], seq[-2])))
+                norms = [x * x + coeff * y * y for x, y in seq[1:]]
+                mixing = _mixing(base, coeff, a1, a2) / target[1]
+                if norms[2] != target[3]:
+                    failed += 1
+                    assert mixing > 1e-9
+                else:
+                    passed += 1
+                    assert mixing < 1e-9
+                    assert norms == target[1:]
+        assert failed and passed
+
+    def test_every_base_square_is_not_real(self):
+        # x0 y0 != 0 for the base of every family with p < 2000
+        for p in primes_upto(2000):
+            for k in (3, 4):
+                if p % k == 1:
+                    t, (x0, y0), _ = family_base(p, k, None, 0)
+                    assert x0 * y0 != 0
+                    assert dioph.base_norm(p, k, t, x0, y0) == x0 * x0 + dioph.form_coeff(k) * y0 * y0
+
+    @pytest.mark.parametrize("args", [(31, 3, 1, -2, 2), (5, 4, 1, 3, 1),     # wrong norm
+                                      (7, 3, 2, 7, 0), (5, 4, 1, 5, 0)])      # real square
+    def test_base_norm_rejects_wrong_or_real_bases(self, args):
+        with pytest.raises(AssertionError, match="does not have norm"):
+            dioph.base_norm(*args)
+
+    @pytest.mark.parametrize("p,k,s", [(31, 3, 0), (7, 3, 1), (13, 4, 0)])
+    def test_shifted_pair_is_caught_at_its_level(self, p, k, s, monkeypatch):
+        # a mul_pair that shifts the pair of level 500 by (k, 0), which keeps
+        # it admissible: the recurrence names that level, before it is yielded
+        wrong = level(p, k, 500, s=s).pair
+        real = lift.mul_pair
+
+        def shifted(u, v, coeff):
+            w = real(u, v, coeff)
+            return (w[0] + k, w[1]) if w == wrong else w
+
+        monkeypatch.setattr(lift, "mul_pair", shifted)
+        seen = []
+        with pytest.raises(AssertionError, match="recurrence .* at level 500 "):
+            for lvl in levels(p, k, 600, s=s):
+                seen.append(lvl.ell)
+        assert seen == list(range(1, 500))
+
+    def test_negated_sequence_is_caught_at_level_1(self, monkeypatch):
+        # -A_l obeys the recurrence and has the target norm, but x = -1 (mod k)
+        real = lift.mul_pair
+        monkeypatch.setattr(lift, "mul_pair", lambda u, v, c: tuple(-w for w in real(u, v, c))
+                            if u == (-2, 0) else real(u, v, c))
+        with pytest.raises(AssertionError, match="congruence"):
+            list(levels(31, 3, 1))
+
+    def test_admissibility_is_checked_at_every_level(self, monkeypatch):
+        # through check_pair at levels 1 to 3, by check_admissible alone after
+        seen = []
+        real = dioph.check_admissible
+        monkeypatch.setattr(dioph, "check_admissible",
+                            lambda p, k, e, x: seen.append(e) or real(p, k, e, x))
+        assert len(list(levels(7, 3, 10, s=1))) == 10
+        assert seen == [3 * ell + 1 for ell in range(1, 11)]
+        with pytest.raises(AssertionError, match="congruence"):
+            real(31, 3, 900, -level(31, 3, 900).pair[0])
+        with pytest.raises(AssertionError, match="coprimality"):
+            real(31, 3, 900, 31)
+
+    def test_every_level_passes_check_pair(self):
+        # the exact check of every pair the cheap one passed, p < 500, ell <= 60
+        for p in primes_upto(500):
+            for k in (3, 4):
+                if p % k != 1:
+                    continue
+                t = family_base(p, k, None, 0)[0]
+                for s in range(t if k == 3 else 1):
+                    for lvl in levels(p, k, 60, s=s):
+                        check_pair(p, k, t * lvl.ell + s, *lvl.pair)
+
+    @pytest.mark.parametrize("p,k,s,ell_max", [(31, 3, 0, 900), (7, 3, 1, 500)])
+    def test_norm_is_checked_at_three_levels_only(self, p, k, s, ell_max, monkeypatch):
+        # a deterministic cost guard: the squarings and the fresh p**e of the
+        # exact norm check run at levels 1 to 3, not at every level
+        calls = {"norm_target": 0, "check_pair": 0}
+        for name in calls:
+            real = getattr(dioph, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(dioph, name, counted)
+        assert len(list(levels(p, k, ell_max, s=s))) == ell_max
+        assert calls == {"norm_target": 3, "check_pair": 3}
