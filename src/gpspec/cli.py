@@ -18,7 +18,8 @@ directory) exits 2 with nothing on stdout.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
 unusable cache path, out-of-scope parameters (with a diagnostic naming
-the violated hypothesis) or a command that ran out of memory.
+the violated hypothesis) or a command that ran out of memory, 3 an internal
+check that failed (an AssertionError, e.g. a level pair off its recurrence).
 
 Each subcommand declares only the flags it reads, so the cache key holds
 only values that can change the output (the oracle caps of spectrum without
@@ -459,9 +460,9 @@ def _any_int_size():
         sys.set_int_max_str_digits(limit)
 
 
-def _error(message: str) -> int:
+def _error(message: str, code: int = 2) -> int:
     sys.stderr.write(f"error: {message}\n")
-    return 2
+    return code
 
 
 def main(argv=None) -> int:
@@ -484,6 +485,8 @@ def main(argv=None) -> int:
             return _error(str(exc))
         except MemoryError:
             return _error("out of memory; lower the cap (--dense-cap, --char-cap or --ell-max)")
+        except AssertionError as exc:
+            return _error(f"internal check failed: {exc}", 3)
     if args.cache:
         try:
             _cache_append(args.cache, key, output, code)

@@ -9,12 +9,17 @@ digits: the norm identity at levels 1 to 3 and the two-term recurrence of the
 base after them, which together imply the norm at every level, and
 admissibility at every level.
 
-The argument-interval sufficient conditions are likewise exact integer
-inequalities (no transcendental function is evaluated for them):
+The argument-interval sufficient conditions are exact integer inequalities
+(no transcendental function is evaluated for them).  ``interval_condition``
+tests them on the level pair of GP(k, r^k); the paper states the s = 0 one on
+the power (x, y) = (x0, y0)^ell, whose level pair is (a, b) = (-2x, -2y), and
+the k = 4 one by squares, which r^2 = c^2 + 4d^2 turns into 2c < r:
 
-    k=3, s = 0, on the raw pair (x, y):   0 < x < 9y
-    k=3, s > 0, on the pair (a, b):       a > 9b > 0
-    k=4, on the pair (c, d):              c > 0, d > 0, 4d^2 > 3c^2
+    paper's form                                  on the level pair
+    k=3, s = 0, on (x, y):  0 < x < 9y            9b < a < 0
+    k=3, s > 0, on (a, b):  a > 9b > 0            a > 9b > 0
+    k=4, on (c, d):         c > 0, d > 0,         c > 0, d > 0, 2c < r
+                            4d^2 > 3c^2
 """
 from __future__ import annotations
 
@@ -43,18 +48,12 @@ class FamilyWitness:
     q_digits: int
 
 
-def interval_test_k3(x: int, y: int, s: int) -> bool:
-    """Exact integer form of the k=3 argument-interval condition of offset s:
-    on the raw pair (x, y) when s = 0, on the derived pair (a, b) when s > 0."""
-    if s == 0:
-        return 0 < x < 9 * y
-    return y > 0 and x > 9 * y
-
-
-def interval_test_k4(c: int, d: int) -> bool:
-    """Exact integer form of the k=4 argument-interval condition (strict
-    first quadrant)."""
-    return c > 0 and d > 0 and 4 * d * d > 3 * c * c
+def interval_condition(k: int, s: int, root: int, x: int, y: int) -> bool:
+    """The argument-interval condition of offset s on the level pair (x, y) of
+    GP(k, root^k), in the level-pair form of the module docstring."""
+    if k == 4:
+        return x > 0 and y > 0 and 2 * x < root
+    return 9 * y < x < 0 if s == 0 else x > 9 * y > 0
 
 
 def decimal_digits(n: int) -> int:
@@ -80,8 +79,7 @@ def find_equienergetic_family(p: int, k: int, t: int | None = None, s: int = 0,
     for lvl in levels(p, k, ell_max, t, s):
         x, y = lvl.pair
         equi = case_a_equienergetic(k, lvl.root, x, y)
-        hit = (interval_test_k4(x, y) if k == 4
-               else interval_test_k3(*(lvl.raw if s == 0 else lvl.pair), s))
+        hit = interval_condition(k, s, lvl.root, x, y)
         if hit and not equi:
             raise AssertionError(f"interval hit without equienergy at ell = {lvl.ell}")
         witnesses.append(FamilyWitness(

@@ -3,19 +3,16 @@
 All "complex" bookkeeping is carried out as integer pairs under the norm
 form of k (``dioph``: X^2 + 27 Y^2 for k = 3, X^2 + 4 Y^2 for k = 4), with
 ``dioph.mul_pair`` as the product, so no irrational arithmetic ever occurs.
-Level indexing: the base pair (x0, y0) from ``dioph.minimal_t`` has norm
-p^t, and the raw pair at level ell >= 1 is its ell-th power, with norm
-p^(t*ell).  An off-by-one here is the likeliest bug, so the helpers below
-all speak in terms of ell of the derived graph GP(3, p^(3(t*ell+s))) rather
-than raw power indices.
-
-The k = 3 coefficient pair is (a, b) = (a0, b0) * (x, y)^ell with
-4 p^s = a0^2 + 27 b0^2 ((a0, b0) = (-2, 0) for s = 0); the k = 4 pair is
-(c, d) = (c1, d1)^ell with p^2 = c1^2 + 4 d1^2.  A family's base pairs come
-from one base solve (``family_base``), and ``levels`` alone makes the level
-pairs, one multiplication by the base a level.  ``level_exponent`` names the
-graph of a level, GP(k, p^m) with m = k*(t*ell + s), whose spectrum the
-closed formulas give (``spectra.spectrum_of``).
+Level indexing: a family has a base pair (x0, y0) of norm p^t (k = 3, t
+from ``dioph.minimal_t``) or p^2 (k = 4, t = 1) and an offset pair base_ab:
+(a0, b0) with 4 p^s = a0^2 + 27 b0^2 for k = 3 ((-2, 0) for s = 0), (1, 0)
+for k = 4.  The pair of level ell >= 1 is base_ab * (x0, y0)^ell, the (a, b)
+of k = 3 or the (c, d) of k = 4, and ``levels`` makes it from the pair of
+level ell - 1 by one multiplication by the base.  An off-by-one here is the
+likeliest bug, so the helpers below all speak in terms of ell of the derived
+graph GP(k, p^m), m = k*(t*ell + s) (``level_exponent``), rather than power
+indices; the closed formulas give its spectrum (``spectra.spectrum_of``).
+A family's pairs come from one base solve (``family_base``).
 
 Each level pair A_l is checked exactly, at a cost linear in its digits:
 levels 1 to 3 pass ``dioph.check_pair`` (norm identity and admissibility),
@@ -47,14 +44,14 @@ from .spectra import GraphSpec, Spectrum, spectrum_of
 
 @dataclass(frozen=True)
 class Level:
-    """Level ell of a family: GP(k, q = p^m = root^k), pair from raw = base^ell."""
+    """Level ell of a family: GP(k, q = p^m = root^k) and its pair
+    base_ab * base^ell (the module docstring names both)."""
 
     ell: int
     t: int
     m: int
     q: int
     root: int
-    raw: tuple[int, int]
     pair: tuple[int, int]
 
 
@@ -87,26 +84,24 @@ def levels(p: int, k: int, ell_max: int, t: int | None = None, s: int = 0) -> It
     """Levels 1..ell_max of the family of GP(k, p), each pair checked exactly
     (the module docstring says how) before it is yielded; a pair that fails
     raises AssertionError."""
-    t, base, base_ab = family_base(p, k, t, s)
+    t, base, pair = family_base(p, k, t, s)
     coeff = dioph.form_coeff(k)
     trace, norm = 2 * base[0], dioph.base_norm(p, k, t, *base)
-    m, root, q, raw = k * s, p ** s, p ** (k * s), (1, 0)
+    m, root, q = k * s, p ** s, p ** (k * s)
     root_step, q_step = p ** t, p ** (k * t)
-    prev = prev2 = None
+    prev = None
     for ell in range(1, ell_max + 1):
-        raw = mul_pair(base, raw, coeff)
-        pair = mul_pair(base_ab, raw, coeff)
+        prev2, prev, pair = prev, pair, mul_pair(base, pair, coeff)
         if ell >= 3 and pair != (trace * prev[0] - norm * prev2[0], trace * prev[1] - norm * prev2[1]):
             raise AssertionError(f"recurrence of k = {k} failed at level {ell} of the family of {p}")
         if ell <= 3:
             dioph.check_pair(p, k, t * ell + s, *pair)
         else:
             dioph.check_admissible(p, k, t * ell + s, pair[0])
-        prev2, prev = prev, pair
         m += k * t
         root *= root_step
         q *= q_step
-        yield Level(ell, t, m, q, root, raw, pair)
+        yield Level(ell, t, m, q, root, pair)
 
 
 # bench/tracing.py wraps the names below by "lift:<name>" and

@@ -109,6 +109,25 @@ class TestExitCodes:
         assert err.startswith("error: out of memory; lower the cap")
         assert not cache.exists()
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_internal_check_failure_exits_3(self, cached, capsys, monkeypatch, tmp_path):
+        # a mul_pair that shifts the pair of level 8 of the family of 31 by
+        # (3, 0): the recurrence check of lift.levels raises AssertionError
+        wrong = find_equienergetic_family(31, 3, ell_max=8)[-1].pair
+        real = cli.lift.mul_pair
+
+        def shifted(u, v, coeff):
+            w = real(u, v, coeff)
+            return (w[0] + 3, w[1]) if w == wrong else w
+
+        monkeypatch.setattr(cli.lift, "mul_pair", shifted)
+        cache = tmp_path / "cache.jsonl"
+        code, out, err = run_cli(["family", "-k", "3", "-p", "31", "--ell-max", "30"]
+                                 + (["--cache", str(cache)] if cached else []), capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: internal check failed: recurrence of k = 3 failed at level 8 of the family of 31\n"
+        assert not cache.exists()
+
 
 class TestSpectrumCommand:
     def test_lift_route_k4(self, capsys):

@@ -4,41 +4,79 @@ import sys
 
 import pytest
 
+from conftest import primes_upto
 from gpspec.errors import BadInput, NoSolution
-from gpspec.family import decimal_digits, find_equienergetic_family, interval_test_k3, interval_test_k4
+from gpspec.family import decimal_digits, find_equienergetic_family, interval_condition
+from gpspec.lift import family_base, levels
+from referees import power_components
 
 
 class TestIntervalK3:
+    """``interval_condition`` for k = 3 on the level pair (a, b); k = 3 does
+    not read the root."""
+
     def test_s_zero_formula(self):
-        # 0 < x < 9y on the raw pair: the base (10, 3) satisfies 0 < 10 < 27
-        assert interval_test_k3(10, 3, 0) is True
-        assert interval_test_k3(-10, 3, 0) is False
-        assert interval_test_k3(28, 3, 0) is False
+        # 0 < x < 9y on the power (x, y) is 9b < a < 0 on (a, b) = (-2x, -2y):
+        # the base (10, 3) of p = 7 satisfies 0 < 10 < 27
+        assert interval_condition(3, 0, 343, -20, -6) is True
+        assert interval_condition(3, 0, 343, 20, -6) is False    # x = -10
+        assert interval_condition(3, 0, 1, -56, -6) is False     # x = 28
 
     def test_s_positive_formula(self):
-        # a > 9b > 0 on the derived pair: (10, 3) fails (10 < 27), (13, 1) passes
-        assert interval_test_k3(10, 3, 1) is False
-        assert interval_test_k3(13, 1, 1) is True
+        # a > 9b > 0 on the level pair: (10, 3) fails (10 < 27), (13, 1) passes
+        assert interval_condition(3, 1, 343, 10, 3) is False
+        assert interval_condition(3, 1, 1, 13, 1) is True
 
     def test_boundaries_are_strict(self):
-        assert interval_test_k3(1, 0, 0) is False
-        assert interval_test_k3(1, 0, 1) is False
-        assert interval_test_k3(9, 1, 0) is False   # x = 9y excluded
-        assert interval_test_k3(9, 1, 1) is False
+        assert interval_condition(3, 0, 1, -2, 0) is False     # y = 0
+        assert interval_condition(3, 1, 1, 1, 0) is False
+        assert interval_condition(3, 0, 1, -18, -2) is False   # x = 9y excluded
+        assert interval_condition(3, 1, 1, 9, 1) is False
 
 
 class TestIntervalK4:
+    """``interval_condition`` for k = 4: c > 0, d > 0 and 2c < r."""
+
     def test_sign_adjusted_pair(self):
-        # |c|, |d| = (7, 12): 3*49 < 4*144
-        assert interval_test_k4(7, 12) is True
+        # (c, d) = (7, 12), r = 25: 14 < 25, as 3*49 < 4*144
+        assert interval_condition(4, 0, 25, 7, 12) is True
 
     def test_boundary(self):
-        assert interval_test_k4(1, 0) is False
+        assert interval_condition(4, 0, 1, 1, 0) is False      # d = 0
+        assert interval_condition(4, 0, 4, 0, 2) is False      # c = 0
+        # no integer pair has 2c = r (4d^2 = 3c^2), but the inequality is strict
+        assert interval_condition(4, 0, 14, 7, 12) is False
 
     def test_strict_quadrant(self):
-        # c < 0 fails the quadrant test; the absolute form 27 > 16 fails too
-        assert interval_test_k4(-3, 2) is False
-        assert interval_test_k4(3, 2) is False
+        # c < 0 fails the quadrant test; (3, 2), r = 5, fails 6 < 5 (27 > 16)
+        assert interval_condition(4, 0, 5, -3, 2) is False
+        assert interval_condition(4, 0, 5, 3, 2) is False
+
+
+def test_interval_condition_is_the_papers_form():
+    # every family with p < 500 (k = 3 at every offset s < t, and k = 4),
+    # levels 1 to 60: the level-pair form equals the paper's form, with the
+    # s = 0 power (x, y) made by the binomial expansion
+    hits = misses = 0
+    for p in primes_upto(500):
+        for k in (3, 4):
+            if p % k != 1:
+                continue
+            t, (x0, y0), _ = family_base(p, k, None, 0)
+            for s in range(t if k == 3 else 1):
+                for lvl in levels(p, k, 60, s=s):
+                    a, b = lvl.pair
+                    if k == 4:
+                        paper = a > 0 and b > 0 and 4 * b * b > 3 * a * a
+                    elif s == 0:
+                        x, y = power_components(x0, y0, lvl.ell, 27)
+                        paper = 0 < x < 9 * y
+                    else:
+                        paper = a > 9 * b > 0
+                    assert interval_condition(k, s, lvl.root, a, b) is paper, (p, k, s, lvl.ell)
+                    hits += paper
+                    misses += not paper
+    assert hits and misses
 
 
 class TestFindFamilyK3:

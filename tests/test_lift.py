@@ -58,14 +58,17 @@ def case_a_nonprincipal(k, lvl):
 
 
 class TestStepXY:
-    """The raw pairs (x0, y0)^ell: one multiplication by the base pair a level."""
+    """The level pairs base_ab * (x0, y0)^ell: one multiplication by the base
+    pair a level."""
 
     def test_one_step_from_base_7(self):
-        assert [lvl.raw for lvl in levels(7, 3, 2)] == [(10, 3), (-143, 60)]
+        assert [lvl.pair for lvl in levels(7, 3, 2)] == [mul_pair((-2, 0), xy, 27)
+                                                         for xy in ((10, 3), (-143, 60))]
         assert (-143) ** 2 + 27 * 60 ** 2 == 7 ** 6
 
     def test_one_step_from_base_31(self):
-        assert [lvl.raw for lvl in levels(31, 3, 2)] == [(-2, 1), (-23, -4)]
+        assert [lvl.pair for lvl in levels(31, 3, 2)] == [mul_pair((-2, 0), xy, 27)
+                                                          for xy in ((-2, 1), (-23, -4))]
 
     def test_rejects_wrong_t(self):
         with pytest.raises(BadInput):
@@ -73,8 +76,8 @@ class TestStepXY:
 
     def test_norm_advances_one_level(self):
         for lvl in levels(7, 3, 11):
-            x, y = lvl.raw
-            assert x ** 2 + 27 * y ** 2 == 7 ** (3 * lvl.ell)
+            a, b = lvl.pair
+            assert a ** 2 + 27 * b ** 2 == 4 * 7 ** (3 * lvl.ell)
 
 
 class TestDerivedAB:
@@ -161,8 +164,7 @@ class TestDerivedCD:
         assert level(5, 4, ell).pair == (c, d)
 
     def test_base_returned_unchanged(self):
-        lvl = level(5, 4, 1)
-        assert lvl.pair == lvl.raw == (-3, 2)
+        assert level(5, 4, 1).pair == family_base(5, 4, None, 0)[1] == (-3, 2)
 
     @pytest.mark.parametrize("p", [5, 13, 17])
     def test_invariants_up_to_level_64(self, p):
@@ -202,8 +204,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("p", [7, 31, 13])
     def test_xy_powers_match_binomial_expansion(self, p):
         t, x0, y0 = minimal_t(p)
+        base_ab = family_base(p, 3, None, 0)[2]
         for lvl in levels(p, 3, 20):
-            assert lvl.raw == power_components(x0, y0, lvl.ell, 27)
+            assert lvl.pair == mul_pair(base_ab, power_components(x0, y0, lvl.ell, 27), 27)
 
     @pytest.mark.parametrize("p,t,s", [(7, 3, 0), (7, 3, 1), (7, 3, 2), (31, 1, 0)])
     def test_derived_ab_matches_closed_form(self, p, t, s):
@@ -244,21 +247,22 @@ class TestLevels:
 
     @pytest.mark.parametrize("p,s", [(7, 0), (7, 1), (7, 2), (31, 0), (13, 1), (43, 0)])
     def test_k3_levels_match_derived_ab(self, p, s):
-        t = minimal_t(p)[0]
+        t, (x0, y0), base_ab = family_base(p, 3, None, s)
         got = list(levels(p, 3, 40, s=s))
         assert [lvl.ell for lvl in got] == list(range(1, 41))
         for lvl in got:
             e = t * lvl.ell + s
             assert (lvl.t, lvl.m, lvl.root, lvl.q) == (t, 3 * e, p ** e, p ** (3 * e))
             assert level_exponent(p, 3, lvl.ell, s=s) == level_exponent(p, 3, lvl.ell, t, s) == lvl.m
-            assert lvl.raw == power_components(*minimal_t(p)[1:], lvl.ell, 27)
+            assert lvl.pair == mul_pair(base_ab, power_components(x0, y0, lvl.ell, 27), 27)
         assert derived_ab(p, t, s, 40) == got[-1].pair
 
     @pytest.mark.parametrize("p", [5, 13, 17])
     def test_k4_levels_match_derived_cd(self, p):
+        _, (c1, d1), base_ab = family_base(p, 4, None, 0)
         got = list(levels(p, 4, 40))
         for lvl in got:
-            assert lvl.pair == lvl.raw
+            assert lvl.pair == mul_pair(base_ab, power_components(c1, d1, lvl.ell, 4), 4)
             assert (lvl.t, lvl.m, lvl.root, lvl.q) == (1, 4 * lvl.ell, p ** lvl.ell, p ** (4 * lvl.ell))
             assert level_exponent(p, 4, lvl.ell) == level_exponent(p, 4, lvl.ell, 1, 0) == lvl.m
         assert derived_cd(p, 40) == got[-1].pair
@@ -268,7 +272,8 @@ class TestLevels:
         assert derived_spectrum_k3(7, 3, 1, 2) == gp_spectrum(GraphSpec(3, 7, lvl.m))
         assert derived_spectrum_k4(5, 2) == gp_spectrum(GraphSpec(4, 5, 8))
         assert k3_base_pairs(7, 1) == family_base(7, 3, None, 1) == (3, (10, 3), (1, 1))
-        assert step_xy(7, 3, (10, 3)) == lvl.raw == (-143, 60)
+        assert step_xy(7, 3, (10, 3)) == power_components(10, 3, 2, 27) == (-143, 60)
+        assert mul_pair((1, 1), (-143, 60), 27) == lvl.pair
 
     def test_validates_before_the_first_level(self):
         with pytest.raises(BadInput):
@@ -400,10 +405,11 @@ class TestLevelCheck:
         assert seen == list(range(1, 500))
 
     def test_negated_sequence_is_caught_at_level_1(self, monkeypatch):
-        # -A_l obeys the recurrence and has the target norm, but x = -1 (mod k)
+        # -A_l obeys the recurrence and has the target norm, but x = -1 (mod k);
+        # the patch negates the first multiplication, base * (-2, 0)
         real = lift.mul_pair
         monkeypatch.setattr(lift, "mul_pair", lambda u, v, c: tuple(-w for w in real(u, v, c))
-                            if u == (-2, 0) else real(u, v, c))
+                            if v == (-2, 0) else real(u, v, c))
         with pytest.raises(AssertionError, match="congruence"):
             list(levels(31, 3, 1))
 
@@ -446,3 +452,18 @@ class TestLevelCheck:
             monkeypatch.setattr(dioph, name, counted)
         assert len(list(levels(p, k, ell_max, s=s))) == ell_max
         assert calls == {"norm_target": 3, "check_pair": 3}
+
+    def test_one_multiplication_a_level(self, monkeypatch):
+        # a deterministic cost guard: each level pair is the previous one times
+        # the base, with no second pair kept beside it
+        calls = 0
+        real = lift.mul_pair
+
+        def counted(u, v, coeff):
+            nonlocal calls
+            calls += 1
+            return real(u, v, coeff)
+
+        monkeypatch.setattr(lift, "mul_pair", counted)
+        assert len(list(levels(31, 3, 900))) == 900
+        assert calls == 900
