@@ -4,8 +4,8 @@ extensions, complementary-equienergy decisions, family searches, and
 independent brute-force oracles for verification at small q.
 """
 
-from .dioph import QFRep, minimal_t, solve_ab, solve_cd
-from .energy import (EnergyReport, corollary_condition, energy_bounds,
+from .dioph import minimal_t, solve_ab, solve_cd
+from .energy import (EnergyReport, case_a_equienergetic, energy_bounds,
                      is_complementary_equienergetic, semiprimitive_energy)
 from .errors import GPSpecError
 from .family import FamilyWitness, find_equienergetic_family, interval_condition
@@ -16,13 +16,13 @@ from .oracle import (DenseGraph, build_graph, char_sum_spectrum, code_weight_dis
 from .spectra import (GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum,
                       gpsum_spectrum, spectrum_of)
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "DenseGraph", "EnergyReport", "FamilyWitness", "FieldSpec", "GPSpecError", "GraphSpec",
-    "HypothesisCase", "QFRep", "Spectrum", "Variant", "build_graph",
+    "HypothesisCase", "Spectrum", "Variant", "build_graph", "case_a_equienergetic",
     "char_sum_spectrum", "code_weight_distribution", "complement_spectrum",
-    "corollary_condition", "dense_spectrum", "energy_bounds", "find_equienergetic_family",
+    "dense_spectrum", "energy_bounds", "find_equienergetic_family",
     "gp_spectrum", "gpsum_spectrum", "interval_condition",
     "is_complementary_equienergetic", "kth_power_residues", "level_exponent", "levels",
     "make_field", "minimal_t", "semiprimitive_energy", "solve_ab", "solve_cd", "spectrum_of",

@@ -3,8 +3,7 @@
 This module alone states the norm form of each k: its coefficient
 (``form_coeff``), its target at exponent e (``norm_target``), the norm of a
 family's base pair (``base_norm``) and the admissible pairs (``check_pair``,
-``check_admissible``; ``belongs`` matches a solved pair, a ``QFRep`` keyed by
-its k, to GP(k, q)),
+``check_admissible``),
 
     4 * p^e   = a^2 + 27*b^2   with a = 1 (mod 3), gcd(a, p) = 1   (k = 3)
     p^(2e)    = c^2 +  4*d^2   with c = 1 (mod 4), gcd(c, p) = 1   (k = 4)
@@ -16,7 +15,8 @@ All come from one Cornacchia solve of p = u^2 + 3v^2 or u^2 + v^2: up to
 units and conjugation, the powers of pi = (u, v) are the only elements of
 norm p^r coprime to p, so each target is one pair power of pi (O(log r)
 multiplications) and the choice of its admissible unit multiple; a k = 3
-family's base and offset pairs share one solve (``_k3_family``).
+family's base and offset pairs share one solve (``_k3_family``).  The
+solvers return a plain (x, y) tuple that has passed ``check_pair``.
 
 Sign normalization: the y-component is always >= 0 (the spectra are not
 affected by its sign), and the x-component sign is fixed by the congruence.
@@ -24,7 +24,6 @@ affected by its sign), and the x-component sign is fixed by the congruence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInput, BadP, NoSolution
@@ -35,25 +34,6 @@ from .ff import _jacobi, is_prime
 _FORM_COEFF = {3: 27, 4: 4}
 
 
-@dataclass(frozen=True)
-class QFRep:
-    """One solution of  x^2 + form_coeff(k)*y^2 = target  with its side conditions."""
-
-    k: int
-    target: int
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if self.k not in _FORM_COEFF:
-            raise BadInput(f"k = {self.k} not in {{3, 4}}")
-        coeff = _FORM_COEFF[self.k]
-        if self.x * self.x + coeff * self.y * self.y != self.target:
-            raise BadInput(f"({self.x}, {self.y}) does not represent {self.target} by x^2 + {coeff}y^2")
-        if self.y < 0:
-            raise BadInput("y-component must be normalized to y >= 0")
-
-
 def form_coeff(k: int) -> int:
     """The coefficient of y^2 in the norm form of k: 27 (k = 3) or 4 (k = 4)."""
     return _FORM_COEFF[k]
@@ -62,11 +42,6 @@ def form_coeff(k: int) -> int:
 def norm_target(p: int, k: int, e: int) -> int:
     """The norm of the pair of k at exponent e: 4 p^e (k = 3) or p^(2e) (k = 4)."""
     return 4 * p ** e if k == 3 else p ** (2 * e)
-
-
-def _admissible(x: int, k: int, q: int) -> bool:
-    """x = 1 (mod k) and gcd(x, q) = 1, which for q a power of p is gcd(x, p) = 1."""
-    return x % k == 1 and math.gcd(x, q) == 1
 
 
 def check_pair(p: int, k: int, e: int, x: int, y: int) -> None:
@@ -81,7 +56,7 @@ def check_pair(p: int, k: int, e: int, x: int, y: int) -> None:
 def check_admissible(p: int, k: int, e: int, x: int) -> None:
     """Raise AssertionError unless x = 1 (mod k) and gcd(x, p) = 1, the side
     conditions of a pair of k at exponent e; linear in the digits of x."""
-    if not _admissible(x, k, p):
+    if x % k != 1 or math.gcd(x, p) != 1:
         raise AssertionError(f"congruence/coprimality of k = {k} failed at {p}^{e}")
 
 
@@ -97,16 +72,6 @@ def base_norm(p: int, k: int, t: int, x0: int, y0: int) -> int:
         raise AssertionError(f"base ({x0}, {y0}) of k = {k} does not have norm "
                              f"{p}^{t * (k - 2)} with x0 y0 != 0")
     return norm
-
-
-def belongs(rep: QFRep, k: int, q: int) -> bool:
-    """Whether rep is an admissible pair of GP(k, q), q = p^(k e): the form of k,
-    the norm target 4 q^(1/3) (k = 3) or q^(1/2) (k = 4), tested as
-    target^3 = 64 q or target^2 = q, a square, and x = 1 (mod k), gcd(x, q) = 1."""
-    if rep.k != k or not _admissible(rep.x, k, q):
-        return False
-    return (rep.target ** 3 == 64 * q if k == 3
-            else rep.target ** 2 == q and math.isqrt(rep.target) ** 2 == rep.target)
 
 
 def mul_pair(u, v, coeff):
@@ -173,28 +138,33 @@ def _require(p: int, k: int) -> None:
         raise BadP(f"p = {p} must be a prime with p = 1 (mod {k})")
 
 
-def solve_ab(p: int, r: int) -> QFRep:
+def solve_ab(p: int, r: int) -> tuple[int, int]:
     """Solve 4*p^r = a^2 + 27*b^2 with a = 1 (mod 3) and gcd(a, p) = 1.
 
-    The solution is unique up to the sign of b; b >= 0 is returned.
+    Unique up to the sign of b; returns (a, b), b >= 0, after ``check_pair``.
     """
     _require(p, 3)
     if r < 1:
         raise BadInput(f"r = {r} must be >= 1")
-    return QFRep(3, norm_target(p, 3, r), *_k3_pair(p, pair_pow(_base(p, 3), r, 3)))
+    a, b = _k3_pair(p, pair_pow(_base(p, 3), r, 3))
+    check_pair(p, 3, r, a, b)
+    return a, b
 
 
-def solve_cd(p: int, t: int) -> QFRep:
+def solve_cd(p: int, t: int) -> tuple[int, int]:
     """Solve p^(2t) = c^2 + 4*d^2 with c = 1 (mod 4) and gcd(c, p) = 1.
 
-    c + 2di = ((u + vi)^2)^t for p = u^2 + v^2; unique up to the sign of d.
+    c + 2di = ((u + vi)^2)^t for p = u^2 + v^2; unique up to the sign of d,
+    and (c, d) with d >= 0 is returned after ``check_pair``.
     """
     _require(p, 4)
     if t < 1:
         raise BadInput(f"t = {t} must be >= 1")
     u, v = _base(p, 4)
     c, d = pair_pow((u * u - v * v, u * v), t, 4)
-    return QFRep(4, norm_target(p, 4, t), c if c % 4 == 1 else -c, abs(d))
+    c, d = (c if c % 4 == 1 else -c), abs(d)
+    check_pair(p, 4, t, c, d)
+    return c, d
 
 
 def minimal_t(p: int) -> tuple[int, int, int]:

@@ -12,14 +12,12 @@ semiprimitive case, where the multiplicities are unequal).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import dioph
 from .errors import OutOfScope
 from .ff import HypothesisCase
-from .spectra import Spectrum, _exact_div, case_a_rep, complement_spectrum, require_in_scope
+from .spectra import Spectrum, _exact_div, case_a_pair, complement_spectrum, require_in_scope
 
 
 @dataclass(frozen=True)
@@ -56,22 +54,20 @@ def energy_bounds(k: int, p: int, m: int) -> tuple[Fraction, Fraction]:
     k=4:  n(r^2 + 1)           <=  E  <=  n(r^2 + 1 + (|c| + 2|d|) r)
 
     with r the k-th root of q and (a, b) resp. (c, d) the quadratic-form
-    pair of the spectrum formulas (``spectra.case_a_rep``).
+    pair of the spectrum formulas (``spectra.case_a_pair``).
     """
     case = require_in_scope(k, p, m)
     if case is not HypothesisCase.CASE_A:
         raise OutOfScope(f"(k={k}, p={p}) has no bound form (semiprimitive case is exact)")
-    q = p ** m
-    n = (q - 1) // k
-    rep = case_a_rep(k, p, m)
+    n = (p ** m - 1) // k
+    x, y = case_a_pair(k, p, m)
+    r = p ** (m // k)
     if k == 3:
-        r = p ** (m // 3)
-        lower = n * (1 + Fraction(abs(2 * rep.x * r + 1), 3))
-        upper = n * (1 + Fraction(2, 3) * (abs(rep.x) * r + 1) + 3 * abs(rep.y) * r)
+        lower = n * (1 + Fraction(abs(2 * x * r + 1), 3))
+        upper = n * (1 + Fraction(2, 3) * (abs(x) * r + 1) + 3 * abs(y) * r)
     else:
-        r = p ** (m // 4)
         lower = Fraction(n * (r * r + 1))
-        upper = Fraction(n * (r * r + 1 + (abs(rep.x) + 2 * abs(rep.y)) * r))
+        upper = Fraction(n * (r * r + 1 + (abs(x) + 2 * abs(y)) * r))
     return lower, upper
 
 
@@ -111,14 +107,3 @@ def case_a_equienergetic(k: int, root: int, x: int, y: int) -> bool:
         return x > 9 * abs(y) or -9 * abs(y) < x < 0
     return 2 * abs(x) < root
 
-
-def corollary_condition(k: int, rep: dioph.QFRep, q: int) -> bool:
-    """Necessary and sufficient condition in case A for complementary equienergy
-    of GP(k, q), from the pair alone: ``case_a_equienergetic`` at root q^(1/k).
-    The representation must belong to q (``dioph.belongs``)."""
-    if k not in (3, 4):
-        raise OutOfScope(f"k = {k} not in {{3, 4}}")
-    if not dioph.belongs(rep, k, q):
-        raise OutOfScope(f"representation {rep} does not match k={k}, q={q}")
-    root = rep.target // 4 if k == 3 else math.isqrt(rep.target)
-    return case_a_equienergetic(k, root, rep.x, rep.y)

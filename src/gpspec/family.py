@@ -1,8 +1,8 @@
 """Search for complementary-equienergetic members of the lifted families.
 
 Equienergy at level ell is decided by ``energy.case_a_equienergetic``, the
-criterion of ``energy.corollary_condition``: integer inequalities on the level
-pair (a, b) or (c, d), never a q-sized spectrum, so probing ell in the
+paper's necessary and sufficient case A criterion: integer inequalities on the
+level pair (a, b) or (c, d), never a q-sized spectrum, so probing ell in the
 hundreds stays cheap even though q is astronomically large.  The level pairs
 come from ``lift.levels``, which checks each one exactly in time linear in its
 digits: the norm identity at levels 1 to 3 and the two-term recurrence of the

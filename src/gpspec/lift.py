@@ -68,8 +68,7 @@ def family_base(p: int, k: int, t: int | None, s: int
         raise BadInput(f"k = {k} not in {{3, 4}}")
     if s != 0 or t not in (None, 1):
         raise BadInput("k=4 families take no (t, s) offsets")
-    rep = dioph.solve_cd(p, 1)
-    return 1, (rep.x, rep.y), (1, 0)
+    return 1, dioph.solve_cd(p, 1), (1, 0)
 
 
 def level_exponent(p: int, k: int, ell: int, t: int | None = None, s: int = 0) -> int:

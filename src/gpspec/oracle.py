@@ -130,10 +130,10 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
     """
     import numpy as np
 
-    q = g.q
+    fld = make_field(g.p, g.m)
+    q = fld.q
     if q > dense_cap:
         raise CapExceeded(f"q = {q} exceeds the dense cap {dense_cap}")
-    fld = make_field(g.p, g.m)
     in_s = np.zeros(q, dtype=np.uint8)
     in_s[list(kth_power_residues(fld, g.k))] = 1
     if g.variant in (Variant.GP_COMPLEMENT, Variant.GPSUM_COMPLEMENT):
@@ -146,6 +146,16 @@ def build_graph(g: GraphSpec, dense_cap: int = DENSE_CAP) -> DenseGraph:
 # ---------------------------------------------------------------------------
 # Character sums
 # ---------------------------------------------------------------------------
+
+def _oracle_field(k: int, p: int, m: int, char_cap: int) -> tuple[FieldSpec, int]:
+    """(F_{p^m}, q), checking p, m, k >= 1 and q <= char_cap before any arithmetic on them."""
+    fld = make_field(p, m)
+    if k < 1:
+        raise BadInput(f"k = {k} must be positive")
+    if fld.q > char_cap:
+        raise CapExceeded(f"q = {fld.q} exceeds the character cap {char_cap}")
+    return fld, fld.q
+
 
 def _coset_trace_counts(fld: FieldSpec, k: int) -> list[list[int]]:
     """For each j < k, how often each t in [0, p) is Tr(w^(j + k*i)) over
@@ -171,15 +181,13 @@ def char_sum_spectrum(g: GraphSpec, char_cap: int = CHAR_CAP) -> Spectrum:
     """
     if g.variant is not Variant.GP:
         raise BadInput("char_sum_spectrum expects the GP variant")
-    q = g.q
-    if q > char_cap:
-        raise CapExceeded(f"q = {q} exceeds the character cap {char_cap}")
+    fld, q = _oracle_field(g.k, g.p, g.m, char_cap)
     if (q - 1) % g.k != 0:
         raise BadK(f"k = {g.k} does not divide q - 1 = {q - 1}")
     n = (q - 1) // g.k
 
     pairs = [(n, 1)]
-    for counts in _coset_trace_counts(make_field(g.p, g.m), g.k):
+    for counts in _coset_trace_counts(fld, g.k):
         spread = max(counts[1:]) - min(counts[1:])
         if spread:
             raise NonIntegral(spread)
@@ -328,14 +336,12 @@ def code_weight_distribution(k: int, p: int, m: int,
     zero codeword contributes weight 0 once, and the frequencies sum to
     1 + k*n = q.
     """
-    q = p ** m
-    if q > char_cap:
-        raise CapExceeded(f"q = {q} exceeds the character cap {char_cap}")
+    fld, q = _oracle_field(k, p, m, char_cap)
     if ((q - 1) // (p - 1)) % k != 0:
         raise OutOfScope(f"{k} does not divide (q-1)/(p-1) = {(q - 1) // (p - 1)}")
     n = (q - 1) // k
     tally = {0: 1}
-    for counts in _coset_trace_counts(make_field(p, m), k):
+    for counts in _coset_trace_counts(fld, k):
         tally[n - counts[0]] = tally.get(n - counts[0], 0) + n
     return dict(sorted(tally.items()))
 
@@ -350,8 +356,7 @@ def weight_eigenvalue_check(k: int, p: int, m: int, char_cap: int = CHAR_CAP) ->
     gives N(0) - N(1) by algebra: the check is an identity.  It stays because
     the benchmark's oracle-verify workload calls it."""
     dist = code_weight_distribution(k, p, m, char_cap=char_cap)
-    q = p ** m
-    n = (q - 1) // k
+    n = (p ** m - 1) // k
     # lambda falls strictly as w rises, so ascending weights give the
     # descending eigenvalues of Spectrum.entries
     mapped = []

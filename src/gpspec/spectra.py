@@ -1,10 +1,11 @@
 """Closed-form spectra of generalized Paley graphs and their sum graphs.
 
 For k in {3, 4} and an in-scope q = p^m the adjacency spectrum is integral
-and has at most five distinct values, expressed through one quadratic-form
-representation (see ``dioph``).  Non-principal eigenvalues are stored in
-descending order and merged when numerically equal, so two Spectrum values
-are equal exactly when they are equal as multisets.
+and expressed through one quadratic-form pair (see ``dioph``).  GP(k, q) and
+the complements have at most k + 1 distinct values, the sum graph at odd q
+up to 2k + 1 (each non-principal value splits into a +/- pair).  Non-principal
+eigenvalues are stored in descending order and merged when numerically equal,
+so two Spectrum values are equal exactly when they are equal as multisets.
 
 Every division in the formulas is checked exact; a remainder aborts with
 ``NonIntegralEigenvalue`` instead of rounding.
@@ -106,7 +107,7 @@ def require_in_scope(k: int, p: int, m: int) -> HypothesisCase:
     return case
 
 
-def case_a_rep(k: int, p: int, m: int) -> dioph.QFRep:
+def case_a_pair(k: int, p: int, m: int) -> tuple[int, int]:
     """The norm-form pair of the case A formulas for q = p^m: (a, b) with
     4 q^(1/3) = a^2 + 27 b^2 (k = 3), or (c, d) with q^(1/2) = c^2 + 4 d^2
     (k = 4)."""
@@ -157,13 +158,12 @@ def k4_case_a_spectrum(r: int, c: int, d: int) -> Spectrum:
 
 
 def gp_spectrum(g: GraphSpec) -> Spectrum:
-    """Exact spectrum of GP(k, q) by the closed formulas (case A: ``case_a_rep``)."""
+    """Exact spectrum of GP(k, q) by the closed formulas (case A: ``case_a_pair``)."""
     if g.variant is not Variant.GP:
         raise ValueError("gp_spectrum expects the GP variant")
     case = require_in_scope(g.k, g.p, g.m)
     if case is HypothesisCase.CASE_A:
-        rep = case_a_rep(g.k, g.p, g.m)
-        return _case_a_spectrum(g.k, g.p ** (g.m // g.k), rep.x, rep.y)
+        return _case_a_spectrum(g.k, g.p ** (g.m // g.k), *case_a_pair(g.k, g.p, g.m))
 
     # semiprimitive case, strongly regular: with r = p^(m/2), negated unless 4 | m,
     # the eigenvalues are (r-1)/k of multiplicity (k-1)n and (-(k-1)r-1)/k of multiplicity n

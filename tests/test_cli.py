@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from gpspec import cli
+from gpspec import cli, dioph
 from gpspec.cli import main, render_report, render_spectrum, render_witnesses, table_csv
 from gpspec.energy import is_complementary_equienergetic
 from gpspec.family import find_equienergetic_family
@@ -127,6 +127,50 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "error: internal check failed: recurrence of k = 3 failed at level 8 of the family of 31\n"
         assert not cache.exists()
+
+    @staticmethod
+    def _run_faulty_solve(k, fault, command, cached, capsys, monkeypatch, tmp_path):
+        """Run command on GP(3, 7^3) or GP(4, 5^4) by -m, with the solver's
+        pair broken: "norm" shifts its first component by k, "admissible"
+        keeps the norm but breaks x = 1 (mod k) (k = 3: a negated) or
+        gcd(x, p) = 1 (k = 4: (5^t, 0))."""
+        if k == 3:
+            real_k3 = dioph._k3_pair
+
+            def faulty(p, power):
+                a, b = real_k3(p, power)
+                return (a + 3, b) if fault == "norm" else (-a, b)
+            monkeypatch.setattr(dioph, "_k3_pair", faulty)
+        else:
+            real_pow = dioph.pair_pow
+
+            def faulty(pair, e, coeff):
+                c, d = real_pow(pair, e, coeff)
+                return (c + 4, d) if fault == "norm" else (5 ** e, 0)
+            monkeypatch.setattr(dioph, "pair_pow", faulty)
+        cache = tmp_path / "cache.jsonl"
+        argv = [command, "-k", str(k), "-p", "7" if k == 3 else "5", "-m", str(k)]
+        code, out, err = run_cli(argv + (["--cache", str(cache)] if cached else []), capsys)
+        assert (code, out) == (3, "")
+        assert not cache.exists()
+        return err
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("command", ["spectrum", "energy"])
+    @pytest.mark.parametrize("k,p", [(3, 7), (4, 5)])
+    def test_solved_pair_off_its_norm_exits_3(self, k, p, command, cached, capsys, monkeypatch,
+                                              tmp_path):
+        err = self._run_faulty_solve(k, "norm", command, cached, capsys, monkeypatch, tmp_path)
+        assert err == f"error: internal check failed: norm identity of k = {k} failed at {p}^1\n"
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("command", ["spectrum", "energy"])
+    @pytest.mark.parametrize("k,p", [(3, 7), (4, 5)])
+    def test_inadmissible_solved_pair_exits_3(self, k, p, command, cached, capsys, monkeypatch,
+                                              tmp_path):
+        err = self._run_faulty_solve(k, "admissible", command, cached, capsys, monkeypatch, tmp_path)
+        assert err == (f"error: internal check failed: congruence/coprimality of k = {k} "
+                       f"failed at {p}^1\n")
 
 
 class TestSpectrumCommand:

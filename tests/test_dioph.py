@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import primes_upto
 from gpspec import dioph
-from gpspec.dioph import QFRep, minimal_t, solve_ab, solve_cd
+from gpspec.dioph import minimal_t, solve_ab, solve_cd
 from gpspec.errors import BadInput, BadP, NoSolution
 from gpspec.ff import is_prime
 from gpspec.lift import levels
@@ -44,16 +44,13 @@ def _all_representations(target, coeff):
 
 class TestSolveAB:
     def test_example_7_1(self):
-        rep = solve_ab(7, 1)
-        assert (rep.x, rep.y) == (1, 1)
+        assert solve_ab(7, 1) == (1, 1)
 
     def test_example_7_2(self):
-        rep = solve_ab(7, 2)
-        assert (rep.x, rep.y) == (13, 1)
+        assert solve_ab(7, 2) == (13, 1)
 
     def test_example_13_1_sign_fixed_by_congruence(self):
-        rep = solve_ab(13, 1)
-        assert (rep.x, rep.y) == (-5, 1)
+        assert solve_ab(13, 1) == (-5, 1)
 
     def test_rejects_wrong_residue(self):
         with pytest.raises(BadP):
@@ -68,34 +65,31 @@ class TestSolveAB:
     def test_admissible_solution_is_unique_up_to_sign(self):
         # across the in-scope primes, exactly one |a| passes the side conditions
         for p in P1MOD3:
-            rep = solve_ab(p, 1)
+            a, b = solve_ab(p, 1)
             valid = [(x, y) for x, y in _all_representations(4 * p, 27)
                      if x % p != 0 and x % 3 != 0]
             assert len(valid) == 1
-            assert (abs(rep.x), rep.y) == valid[0]
+            assert (abs(a), b) == valid[0]
 
     @pytest.mark.parametrize("p", P1MOD3)
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_always_solvable_in_scope(self, p, r):
-        rep = solve_ab(p, r)
-        assert rep.x * rep.x + 27 * rep.y * rep.y == 4 * p ** r
-        assert rep.x % 3 == 1
-        assert math.gcd(rep.x, p) == 1
-        assert rep.y > 0  # y = 0 would force p | x
+        a, b = solve_ab(p, r)
+        assert a * a + 27 * b * b == 4 * p ** r
+        assert a % 3 == 1
+        assert math.gcd(a, p) == 1
+        assert b > 0  # b = 0 would force p | a
 
 
 class TestSolveCD:
     def test_example_5_1(self):
-        rep = solve_cd(5, 1)
-        assert (rep.x, rep.y) == (-3, 2)
+        assert solve_cd(5, 1) == (-3, 2)
 
     def test_example_13_1(self):
-        rep = solve_cd(13, 1)
-        assert (rep.x, rep.y) == (5, 6)
+        assert solve_cd(13, 1) == (5, 6)
 
     def test_example_5_2(self):
-        rep = solve_cd(5, 2)
-        assert (rep.x, rep.y) == (-7, 12)
+        assert solve_cd(5, 2) == (-7, 12)
 
     def test_rejects_wrong_residue(self):
         with pytest.raises(BadP):
@@ -108,36 +102,16 @@ class TestSolveCD:
     @pytest.mark.parametrize("p", P1MOD4)
     @pytest.mark.parametrize("t", [1, 2])
     def test_always_solvable_in_scope(self, p, t):
-        rep = solve_cd(p, t)
-        assert rep.x * rep.x + 4 * rep.y * rep.y == p ** (2 * t)
-        assert rep.x % 4 == 1
-        assert math.gcd(rep.x, p) == 1
-        assert rep.y > 0
+        c, d = solve_cd(p, t)
+        assert c * c + 4 * d * d == p ** (2 * t)
+        assert c % 4 == 1
+        assert math.gcd(c, p) == 1
+        assert d > 0
 
     @pytest.mark.parametrize("p", [5, 13, 17])
     def test_solvable_at_t3(self, p):
-        rep = solve_cd(p, 3)
-        assert rep.x * rep.x + 4 * rep.y * rep.y == p ** 6
-
-
-class TestQFRep:
-    def test_rejects_wrong_norm(self):
-        with pytest.raises(BadInput):
-            QFRep(3, 29, 1, 1)
-
-    def test_rejects_negative_y(self):
-        with pytest.raises(BadInput):
-            QFRep(4, 25, 3, -2)
-
-    def test_accepts_valid(self):
-        rep = QFRep(3, 28, 1, 1)
-        assert rep.target == 28
-
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_rejects_k_outside_3_4(self, k):
-        # (1, 1) represents 28 by the form of k = 3, but no form belongs to k = 2 or 5
-        with pytest.raises(BadInput, match=f"k = {k} not in"):
-            QFRep(k, 28, 1, 1)
+        c, d = solve_cd(p, 3)
+        assert c * c + 4 * d * d == p ** 6
 
 
 class TestMinimalT:
@@ -179,8 +153,7 @@ def _pair_at(p: int, k: int, e: int) -> tuple[int, int]:
     """The admissible pair of k at exponent e >= 0 by the solves."""
     if e == 0:
         return (-2, 0) if k == 3 else (1, 0)
-    rep = solve_ab(p, e) if k == 3 else solve_cd(p, e)
-    return rep.x, rep.y
+    return solve_ab(p, e) if k == 3 else solve_cd(p, e)
 
 
 def _solved_pairs(p: int, k: int, source: str, n: int) -> list[tuple[int, int, int]]:
@@ -242,17 +215,17 @@ class TestCubicResidue:
 @settings(max_examples=50, deadline=None)
 @given(p=st.sampled_from([7, 13, 19, 31]), r=st.integers(min_value=1, max_value=6))
 def test_solve_ab_equation_exact(p, r):
-    rep = solve_ab(p, r)
-    assert rep.x * rep.x + 27 * rep.y * rep.y == 4 * p ** r
-    assert rep.x % 3 == 1 and math.gcd(rep.x, p) == 1 and rep.y >= 0
+    a, b = solve_ab(p, r)
+    assert a * a + 27 * b * b == 4 * p ** r
+    assert a % 3 == 1 and math.gcd(a, p) == 1 and b >= 0
 
 
 @settings(max_examples=50, deadline=None)
 @given(p=st.sampled_from([5, 13, 17, 29]), t=st.integers(min_value=1, max_value=3))
 def test_solve_cd_equation_exact(p, t):
-    rep = solve_cd(p, t)
-    assert rep.x * rep.x + 4 * rep.y * rep.y == p ** (2 * t)
-    assert rep.x % 4 == 1 and math.gcd(rep.x, p) == 1 and rep.y >= 0
+    c, d = solve_cd(p, t)
+    assert c * c + 4 * d * d == p ** (2 * t)
+    assert c % 4 == 1 and math.gcd(c, p) == 1 and d >= 0
 
 
 class TestCoreAgainstReferees:
@@ -262,15 +235,15 @@ class TestCoreAgainstReferees:
     @given(case=st.sampled_from(SCAN_K3))
     def test_solve_ab_matches_scan(self, case):
         p, r = case
-        rep = solve_ab(p, r)
-        assert (rep.x, rep.y) == scan_ab(p, r)
+        a, b = solve_ab(p, r)
+        assert (a, b) == scan_ab(p, r)
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(SCAN_K4))
     def test_solve_cd_matches_scan(self, case):
         p, t = case
-        rep = solve_cd(p, t)
-        assert (rep.x, rep.y) == scan_cd(p, t)
+        c, d = solve_cd(p, t)
+        assert (c, d) == scan_cd(p, t)
 
     def test_minimal_t_matches_scan(self):
         """t is 1 or 3 (x^2 + 27y^2 has class number 3) for every prime
@@ -286,13 +259,13 @@ class TestCoreAgainstReferees:
         for p, r in set(CORE_K3) - set(SCAN_K3):
             sols = diophantine(x ** 2 + 27 * y ** 2 - 4 * p ** r)
             admissible = {(int(a), int(b)) for a, b in sols if a % 3 == 1 and a % p and b >= 0}
-            rep = solve_ab(p, r)
-            assert admissible == {(rep.x, rep.y)}, (p, r)
+            a, b = solve_ab(p, r)
+            assert admissible == {(a, b)}, (p, r)
         for p, t in set(CORE_K4) - set(SCAN_K4):
             sols = diophantine(x ** 2 + 4 * y ** 2 - p ** (2 * t))
             admissible = {(int(c), int(d)) for c, d in sols if c % 4 == 1 and c % p and d >= 0}
-            rep = solve_cd(p, t)
-            assert admissible == {(rep.x, rep.y)}, (p, t)
+            c, d = solve_cd(p, t)
+            assert admissible == {(c, d)}, (p, t)
 
     def test_base_pairs_match_sympy_cornacchia(self):
         pytest.importorskip("sympy")

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_scope_instances, primes_upto
-from gpspec.dioph import QFRep, solve_ab, solve_cd
-from gpspec.energy import (corollary_condition, energy_bounds,
+from gpspec.dioph import solve_ab, solve_cd
+from gpspec.energy import (case_a_equienergetic, energy_bounds,
                            is_complementary_equienergetic, semiprimitive_energy)
 from gpspec.errors import OutOfScope
 from gpspec.ff import HypothesisCase, theorem_hypotheses
-from gpspec.spectra import GraphSpec, Spectrum, Variant, case_a_rep, gp_spectrum, gpsum_spectrum
+from gpspec.spectra import GraphSpec, Spectrum, Variant, case_a_pair, gp_spectrum, gpsum_spectrum
 from referees import is_semiprimitive
 
 P_CASE_A = {k: [p for p in primes_upto(2000) if p % k == 1] for k in (3, 4)}
@@ -137,39 +137,24 @@ class TestEquienergeticDecision:
 
 
 class TestCorollaryCondition:
+    """The paper's case A condition, ``case_a_equienergetic`` on the solved
+    pair of GP(k, root^k)."""
+
     def test_k3_true_for_13_1(self):
-        rep = solve_ab(7, 2)  # (13, 1) for q = 7^6
-        assert corollary_condition(3, rep, 7 ** 6) is True
+        # (13, 1) for q = 7^6
+        assert case_a_equienergetic(3, 7 ** 2, *solve_ab(7, 2)) is True
 
     def test_k3_false_for_1_1(self):
-        rep = solve_ab(7, 1)  # (1, 1): 1 < 9 and a > 0
-        assert corollary_condition(3, rep, 7 ** 3) is False
+        # (1, 1) for q = 7^3: 1 < 9 and a > 0
+        assert case_a_equienergetic(3, 7, *solve_ab(7, 1)) is False
 
     def test_k4_true_for_minus7_12(self):
-        rep = solve_cd(5, 2)  # (-7, 12): 3*49 < 4*144
-        assert corollary_condition(4, rep, 5 ** 8) is True
+        # (-7, 12) for q = 5^8: 3*49 < 4*144
+        assert case_a_equienergetic(4, 5 ** 2, *solve_cd(5, 2)) is True
 
     def test_k4_false_for_minus3_2(self):
-        rep = solve_cd(5, 1)  # 27 > 16
-        assert corollary_condition(4, rep, 5 ** 4) is False
-
-    def test_rejects_k_outside_3_4(self):
-        with pytest.raises(OutOfScope, match="k = 5"):
-            corollary_condition(5, solve_ab(7, 2), 7 ** 6)
-
-    def test_rejects_mismatched_q(self):
-        with pytest.raises(OutOfScope):
-            corollary_condition(3, solve_ab(7, 1), 7 ** 6)
-        with pytest.raises(OutOfScope):
-            corollary_condition(4, QFRep(3, 28, 1, 1), 7 ** 3)
-        with pytest.raises(OutOfScope):  # 5 = 1 + 4 is q^(1/2) for q = 25, not a fourth power
-            corollary_condition(4, QFRep(4, 5, 1, 1), 25)
-        # the norm target of q, but not admissible: x = 1 (mod k) or gcd(x, q) = 1 fails
-        for k, rep, q in ((3, QFRep(3, 28, -1, 1), 7 ** 3),
-                          (4, QFRep(4, 25, 5, 0), 5 ** 4),
-                          (4, QFRep(4, 25, 3, 2), 5 ** 4)):
-            with pytest.raises(OutOfScope):
-                corollary_condition(k, rep, q)
+        # (-3, 2) for q = 5^4: 27 > 16
+        assert case_a_equienergetic(4, 5, *solve_cd(5, 1)) is False
 
     @staticmethod
     def case_a_verdicts():
@@ -177,7 +162,8 @@ class TestCorollaryCondition:
         for (k, p, m) in in_scope_instances(10 ** 6):
             if theorem_hypotheses(k, p, m) is HypothesisCase.CASE_A:
                 report = is_complementary_equienergetic(gp_spectrum(GraphSpec(k, p, m)))
-                yield (k, p, m), corollary_condition(k, case_a_rep(k, p, m), p ** m), report.equienergetic
+                condition = case_a_equienergetic(k, p ** (m // k), *case_a_pair(k, p, m))
+                yield (k, p, m), condition, report.equienergetic
 
     def test_sufficiency(self):
         # condition true => equienergetic
@@ -199,6 +185,6 @@ def test_corollary_condition_is_the_spectrum_verdict(data, k, e):
     p = 1 (mod k) below 2000 and q = p^(k e)."""
     p = data.draw(st.sampled_from(P_CASE_A[k]))
     m = k * e
-    condition = corollary_condition(k, case_a_rep(k, p, m), p ** m)
+    condition = case_a_equienergetic(k, p ** e, *case_a_pair(k, p, m))
     report = is_complementary_equienergetic(gp_spectrum(GraphSpec(k, p, m)))
     assert condition is report.equienergetic

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import in_scope_instances
-from gpspec.errors import BadInput, BadK, CapExceeded, NonIntegral, OutOfScope
+from gpspec.errors import BadInput, BadK, CapExceeded, GPSpecError, NonIntegral, OutOfScope
 from gpspec.ff import kth_power_residues, make_field
 from gpspec.oracle import (DENSE_CAP, JACOBI_MAX_N, DenseGraph, _cayley_adjacency, _round_robin, build_graph,
                            char_sum_spectrum, code_weight_distribution, dense_eigenvalues,
@@ -429,6 +429,28 @@ class TestWeightEigenvalueCheck:
     @pytest.mark.parametrize("k,p,m", [(3, 2, 4), (3, 7, 3), (4, 5, 4), (4, 3, 6), (3, 5, 4)])
     def test_examples(self, k, p, m):
         assert weight_eigenvalue_check(k, p, m) is True
+
+
+ENTRY_POINTS = {
+    "char_sum_spectrum": lambda k, p, m: char_sum_spectrum(GraphSpec(k, p, m)),
+    "build_graph": lambda k, p, m: build_graph(GraphSpec(k, p, m)),
+    "code_weight_distribution": code_weight_distribution,
+    "weight_eigenvalue_check": weight_eigenvalue_check,
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("k,p,m,names", [(3, 1, 3, "p = 1"), (0, 7, 3, "k = 0"),
+                                         (3, 7, 0, "m = 0"), (3, 7, -1, "m = -1"),
+                                         (3, 0, -1, "p = 0")],
+                         ids=["p=1", "k=0", "m=0", "m=-1", "p=0,m=-1"])
+def test_oracle_entry_points_reject_bad_input(entry, k, p, m, names):
+    """p = 1, k = 0, m = 0, m = -1 or p = 0 with m = -1 raise a GPSpecError
+    naming the bad value (not ZeroDivisionError, nor a BadK about a float q):
+    each entry point checks p and m through make_field, and k, before any
+    arithmetic on q, k or p - 1."""
+    with pytest.raises(GPSpecError, match=names):
+        ENTRY_POINTS[entry](k, p, m)
 
 
 class TestTripleAgreement:

@@ -247,16 +247,16 @@ class TestRecoveryIdentities:
 
     @pytest.mark.parametrize("p,t", [(7, 1), (7, 2), (13, 1), (31, 1), (43, 1)])
     def test_k3_recovery(self, p, t):
-        rep = solve_ab(p, t)
+        a, b = solve_ab(p, t)
         r = p ** t
-        lam1, lam2, lam3 = k3_case_a_eigenvalues(r, rep.x, rep.y)
-        assert (3 * lam1 + 1) == rep.x * r
-        assert (lam3 - lam2) == 3 * rep.y * r
+        lam1, lam2, lam3 = k3_case_a_eigenvalues(r, a, b)
+        assert (3 * lam1 + 1) == a * r
+        assert (lam3 - lam2) == 3 * b * r
 
     @pytest.mark.parametrize("p,t", [(5, 1), (5, 2), (13, 1), (17, 1)])
     def test_k4_recovery(self, p, t):
-        rep = solve_cd(p, t)
+        c, d = solve_cd(p, t)
         r = p ** t
-        lam1, lam2, lam3, lam4 = k4_case_a_eigenvalues(r, rep.x, rep.y)
-        assert lam3 - lam4 == rep.x * r
-        assert lam1 - lam2 == 2 * rep.y * r
+        lam1, lam2, lam3, lam4 = k4_case_a_eigenvalues(r, c, d)
+        assert lam3 - lam4 == c * r
+        assert lam1 - lam2 == 2 * d * r
