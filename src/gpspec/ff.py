@@ -24,8 +24,8 @@ from .errors import BadInput, BadK, CapExceeded, NonPrime
 #: Largest field order constructed explicitly (elements, tables).
 FIELD_CAP = 1 << 20
 
-#: Powers per matrix product when ``FieldSpec.exp_table`` is built (a power of two).
-_EXP_BLOCK = 4096
+#: Most digits (powers times m) in one block of ``FieldSpec.exp_table``: 256 KB of float64.
+_EXP_BLOCK = 1 << 15
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -273,8 +273,8 @@ class FieldSpec:
         of the matrix S is the digit vector of g * x^j, from ``mul``, so a row
         of digits times S gives the digits of its product by g.  A block of B
         consecutive powers times S^B gives the next B, so after a first block
-        built by doubling, the table grows one block of _EXP_BLOCK powers per
-        matrix product.
+        built by doubling, the table grows one block per matrix product.  A
+        block holds at most _EXP_BLOCK digits, so it stays in cache at any m.
         """
         if self._exp is None:
             import numpy as np
@@ -283,18 +283,24 @@ class FieldSpec:
             step = np.array([self.coeffs(self.mul(self.generator, p ** j)) for j in range(m)], dtype=float)
             # Entries of both factors lie in [0, p), so every partial sum of a
             # product is an integer of at most m(p-1)^2 <= 2^40 < 2^53 for
-            # q <= FIELD_CAP: float64 products, run by BLAS, are exact.
-            block = np.zeros((1, m), dtype=np.int64)
+            # q <= FIELD_CAP: float64 products, run by BLAS, are exact, and so
+            # is a - p*floor(a/p), since a/p cannot round across an integer.
+            def reduce(a):
+                return a - p * np.floor(a / p)
+
+            block = np.zeros((1, m))
             block[0, 0] = 1
-            while len(block) < min(n, _EXP_BLOCK):
-                block = np.concatenate([block, (block @ step).astype(np.int64) % p])
-                step = step @ step % p
-            weights = p ** np.arange(m, dtype=np.int64)     # codes lie below q: int64 products
-            codes = [block @ weights]
-            while len(codes) * len(block) < n:
-                block = (block @ step).astype(np.int64) % p
-                codes.append(block @ weights)
-            exp = np.concatenate(codes)[:n]
+            while len(block) < n and 2 * len(block) * m <= _EXP_BLOCK:
+                block = np.concatenate([block, reduce(block @ step)])
+                step = reduce(step @ step)
+            rows = len(block)
+            weights = p ** np.arange(m, dtype=float)    # codes lie below q <= 2^20
+            exp = np.empty(-(-n // rows) * rows, dtype=np.int64)
+            exp[:rows] = block @ weights
+            for start in range(rows, n, rows):
+                block = reduce(block @ step)
+                exp[start:start + rows] = block @ weights
+            exp = exp[:n]
             exp.flags.writeable = False
             self._exp = exp
         return self._exp
@@ -304,18 +310,24 @@ class FieldSpec:
         """trace_table[code] = Tr_{q/p}(code), a read-only int64 array.
 
         Tr(a) is the trace of the matrix of multiplication by a, whose entry
-        (j, j) for a = x^i is digit j of x^i * x^j, from ``mul``.  Digit i of
-        a code adds digit * Tr(x^i), so the table over the first i + 1 digits
-        is p copies of the table over the first i, copy d shifted by
-        d * Tr(x^i).
+        (j, j) for a = x^i is digit j of x^(i+j), so the basis traces come
+        from the powers x^0 ... x^(2m-2), each one ``mul`` by x from the last.
+        Digit i of a code adds digit * Tr(x^i), so the table over the first
+        i + 1 digits is p copies of the table over the first i, copy d
+        shifted by d * Tr(x^i).
         """
         if self._trace is None:
             import numpy as np
 
             p, m = self.p, self.m
+            powers = [self.coeffs(1)]
+            code = 1
+            for _ in range(2 * m - 2):          # for m > 1, the code p is x
+                code = self.mul(code, p)
+                powers.append(self.coeffs(code))
             table = np.zeros(1, dtype=np.int64)
             for i in range(m):
-                b = sum(self.coeffs(self.mul(p ** i, p ** j))[j] for j in range(m))
+                b = sum(powers[i + j][j] for j in range(m))
                 table = np.add.outer(np.arange(p) * b, table).ravel() % p
             table.flags.writeable = False
             self._trace = table

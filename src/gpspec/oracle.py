@@ -16,7 +16,8 @@ pairs at once, in every block of a stack, with vectorized updates.
 
 Either engine solves the matrix block by block.  A DenseGraph carries the
 orbits of a cyclic vertex permutation sigma that its constructor checks, on
-the matrix, to be an automorphism; A is then block-circulant over the orbits,
+the matrix permuted once into the orbit frame, to be an automorphism (see
+``DenseGraph``); A is then block-circulant over the orbits,
 and a discrete Fourier transform along them splits A's spectrum exactly into
 the spectra of small blocks (see ``dense_eigenvalues``).  ``build_graph``
 supplies x -> w^k x, w the field's generator: w^k lies in R_k, so every edge
@@ -59,6 +60,16 @@ class DenseGraph:
     orbits[i, (s + 1) % r], and fixes every vertex in no row.  ``fixed``
     lists those vertices in ascending order.  None means no orbits: every
     vertex is fixed, and the eigensolver solves the whole matrix.
+
+    The constructor checks the matrix in the orbit frame: permuted once to
+    the order (orbit rows, fixed), sigma is an automorphism iff every r x r
+    orbit block is circulant and every border between an orbit and a fixed
+    vertex is constant along the orbit.  Given that, A is symmetric iff
+    c[x, y, s] = c[y, x, -s] on the first rows c[x, y, s] =
+    A[orbits[x, 0], orbits[y, s]], the fixed borders match and A_FF is
+    symmetric.  All of these are slice compares; a failure falls back to the
+    whole-matrix compare A = A^T, so a matrix that is not symmetric is
+    reported as such before any complaint about its orbits.
     """
 
     def __init__(self, adjacency: np.ndarray, orbits: np.ndarray | None = None):
@@ -67,26 +78,43 @@ class DenseGraph:
         adjacency = np.asarray(adjacency)
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
             raise BadInput("adjacency must be square")
-        if not ((adjacency == 0) | (adjacency == 1)).all():
+        with np.errstate(invalid="ignore"):         # NaN and inf fail the compare below
+            cast = adjacency.astype(np.uint8, copy=False)
+        # 257, 1.5 and -255 cast to 1: only an exact cast of entries <= 1 passes
+        if cast.max(initial=0) > 1 or (cast is not adjacency and not np.array_equal(cast, adjacency)):
             raise BadInput("adjacency entries must be 0/1")
-        adjacency = adjacency.astype(np.uint8, copy=False)
-        if not np.array_equal(adjacency, adjacency.T):
-            raise BadInput("adjacency must be symmetric")
+        adjacency = cast
         q = adjacency.shape[0]
         orbits = np.empty((0, 1), dtype=np.intp) if orbits is None else np.asarray(orbits)
         if orbits.ndim != 2 or orbits.shape[1] < 1 or orbits.dtype.kind not in "iu" \
                 or not ((0 <= orbits) & (orbits < q)).all():
-            raise BadInput(f"orbits must be an (M, r) array of vertex indices below {q}, r >= 1")
-        counts = np.bincount(orbits.ravel().astype(np.intp), minlength=q)
+            _reject(adjacency, f"orbits must be an (M, r) array of vertex indices below {q}, r >= 1")
+        members = orbits.ravel().astype(np.intp)
+        counts = np.bincount(members, minlength=q)
         if counts.max(initial=0) > 1:
-            raise BadInput("orbits must be disjoint")
-        sigma = np.arange(q)
-        sigma[orbits] = np.roll(orbits, -1, axis=1)
-        if not np.array_equal(adjacency.take(sigma, axis=0).take(sigma, axis=1), adjacency):
-            raise BadInput("orbits must be those of an automorphism of the graph")
+            _reject(adjacency, "orbits must be disjoint")
+        fixed = np.flatnonzero(counts == 0)
+        (M, r), n = orbits.shape, members.size
+        order = np.concatenate([members, fixed])
+        frame = adjacency.take(order, axis=0).take(order, axis=1)
+        blocks = frame[:n, :n].reshape(M, r, M, r)
+        out = frame[:n, n:].reshape(M, r, q - n)
+        into = frame[n:, :n].reshape(q - n, M, r)
+        first = blocks[:, 0]
+        pairs = (
+            # sigma-invariance: row t + 1 of each orbit block is row t shifted one place right
+            # (row 0 from row r - 1 then follows), and each border is constant along its orbit
+            (blocks[:, 1:, :, 1:], blocks[:, :-1, :, :-1]), (blocks[:, 1:, :, 0], blocks[:, :-1, :, -1]),
+            (out[:, 1:], out[:, :-1]), (into[..., 1:], into[..., :-1]),
+            # symmetry, given the invariance
+            (first, first.transpose(1, 0, 2)[:, :, -np.arange(r) % r]),
+            (out[:, 0], into[..., 0].T), (frame[n:, n:], frame[n:, n:].T),
+        )
+        if not all(np.array_equal(a, b) for a, b in pairs):
+            _reject(adjacency, "orbits must be those of an automorphism of the graph")
         self.adjacency = adjacency
         self.orbits = orbits
-        self.fixed = np.flatnonzero(counts == 0)
+        self.fixed = fixed
         self.q = q
         self.loop_count = int(np.trace(adjacency))
 
@@ -94,10 +122,25 @@ class DenseGraph:
         return self.adjacency.sum(axis=1, dtype="int64")
 
     def degree(self) -> int:
-        sums = self.row_sums()
+        """The common row sum.  sigma gives every row of an orbit the sum of
+        the orbit's first, so only those and the fixed rows are summed."""
+        import numpy as np
+
+        rows = np.concatenate([self.orbits[:, 0].astype(np.intp), self.fixed])
+        sums = self.adjacency[rows].sum(axis=1, dtype="int64")
         if sums.min() != sums.max():
             raise BadInput("graph is not regular")
         return int(sums[0])
+
+
+def _reject(adjacency: np.ndarray, message: str):
+    """Raise BadInput(message), unless the square 0/1 matrix is not symmetric:
+    that is reported first, as the whole-matrix checks would."""
+    import numpy as np
+
+    if not np.array_equal(adjacency, adjacency.T):
+        raise BadInput("adjacency must be symmetric")
+    raise BadInput(message)
 
 
 def _cayley_adjacency(in_r: np.ndarray, p: int, m: int, sign: int) -> np.ndarray:

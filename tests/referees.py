@@ -17,6 +17,11 @@ the package routes they check.
 - ``char_sum_eigenvalue`` adds e^(2 pi i Tr(gamma x)/p) over x in R_k with
   ``cmath``, one character gamma at a time and unrounded, and referees the
   per-coset trace counts of ``gpspec.oracle.char_sum_spectrum``.
+- ``dense_graph_checks`` runs the checks of ``gpspec.oracle.DenseGraph`` on
+  the whole matrix: an exact 0/1 compare before any cast, A = A^T, and
+  sigma-invariance as A[sigma][:, sigma] = A, then regularity from every row
+  sum.  It referees the constructor's checks in the orbit frame and its
+  ``degree``, which sums one row per orbit.
 - ``is_cubic_residue`` (Euler's criterion) and ``is_semiprimitive`` (-1 a
   power of p mod k) classify primes for tests of ``gpspec.dioph.minimal_t``
   and of the semiprimitive spectra and energies.
@@ -144,6 +149,37 @@ def scan_generator(f) -> int:
         if order == n:
             return g
     return 1
+
+
+def dense_graph_checks(adjacency, orbits=None) -> tuple:
+    """(uint8 adjacency, fixed vertices, degree or None when irregular) for a
+    matrix and orbits that ``gpspec.oracle.DenseGraph`` must accept, or the
+    BadInput it must raise, checked in the order: square, 0/1, symmetric,
+    orbit shape, disjoint orbits, automorphism."""
+    import numpy as np
+
+    adjacency = np.asarray(adjacency)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+        raise BadInput("adjacency must be square")
+    if not ((adjacency == 0) | (adjacency == 1)).all():
+        raise BadInput("adjacency entries must be 0/1")
+    adjacency = adjacency.astype(np.uint8)
+    if not np.array_equal(adjacency, adjacency.T):
+        raise BadInput("adjacency must be symmetric")
+    q = adjacency.shape[0]
+    orbits = np.empty((0, 1), dtype=np.intp) if orbits is None else np.asarray(orbits)
+    if orbits.ndim != 2 or orbits.shape[1] < 1 or orbits.dtype.kind not in "iu" \
+            or not ((0 <= orbits) & (orbits < q)).all():
+        raise BadInput(f"orbits must be an (M, r) array of vertex indices below {q}, r >= 1")
+    counts = np.bincount(orbits.ravel().astype(np.intp), minlength=q)
+    if counts.max(initial=0) > 1:
+        raise BadInput("orbits must be disjoint")
+    sigma = np.arange(q)
+    sigma[orbits] = np.roll(orbits, -1, axis=1)
+    if not np.array_equal(adjacency.take(sigma, axis=0).take(sigma, axis=1), adjacency):
+        raise BadInput("orbits must be those of an automorphism of the graph")
+    sums = adjacency.sum(axis=1, dtype=np.int64)
+    return adjacency, np.flatnonzero(counts == 0), int(sums[0]) if sums.min() == sums.max() else None
 
 
 def char_sum_eigenvalue(g, gamma: int) -> complex:

@@ -273,6 +273,8 @@ class TestExpTable:
         rng = random.Random(p)
         for i in rng.sample(range(f.q - 2), 2000):
             assert exp[i + 1] == f.mul(exp[i], f.generator), i
+        # codes of F_p are its residues: every step, across every block boundary
+        assert np.array_equal(exp[1:], exp[:-1] * f.generator % p)
 
 
 class TestTableTypes:

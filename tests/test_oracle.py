@@ -11,7 +11,7 @@ from gpspec.oracle import (DENSE_CAP, JACOBI_MAX_N, DenseGraph, _cayley_adjacenc
                            char_sum_spectrum, code_weight_distribution, dense_eigenvalues,
                            dense_spectrum, weight_eigenvalue_check)
 from gpspec.spectra import GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum, gpsum_spectrum
-from referees import char_sum_eigenvalue
+from referees import char_sum_eigenvalue, dense_graph_checks
 
 
 class TestBuildGraph:
@@ -263,6 +263,74 @@ class TestDenseSpectrum:
         # each of these casts to 1 as uint8, which would pass for K_2
         with pytest.raises(BadInput, match="0/1"):
             DenseGraph(np.array([[0, entry], [entry, 0]]))
+
+    def test_dense_graph_checks_match_the_whole_matrix_referee(self):
+        """Every in-scope graph with q <= 343, in each variant, with its
+        orbits, none or two that share a vertex, as built, in other dtypes
+        and perturbed: the
+        constructor (and ``degree``) accepts exactly what the whole-matrix
+        referee accepts, and raises the same message otherwise."""
+        def verdict(check, adjacency, orbits):
+            try:
+                adjacency, fixed, degree = check(adjacency, orbits)
+            except BadInput as err:
+                return str(err)
+            return adjacency.dtype.name, adjacency.tolist(), fixed.tolist(), degree
+
+        def constructor(adjacency, orbits):
+            d = DenseGraph(adjacency, orbits)
+            try:
+                return d.adjacency, d.fixed, d.degree()
+            except BadInput:
+                return d.adjacency, d.fixed, None
+
+        def toggle(rows, cols):
+            out = a.copy()
+            out[rows, cols] ^= 1
+            return out
+
+        rng = np.random.default_rng(30)
+        seen = set()
+        for k, p, m in in_scope_instances(343):
+            for variant in Variant:
+                d = build_graph(GraphSpec(k, p, m, variant))
+                a, orbits, q = d.adjacency, d.orbits, d.q
+                shared = orbits.copy()
+                shared[0, 0] = shared[1, 0]
+                i, j = rng.choice(q, 2, replace=False)
+                v = orbits[rng.integers(len(orbits)), 0]
+                cols = rng.permutation(q)
+                col_b = next(c for c in cols if a[v, c] != a[v, cols[0]])
+                swap = [cols[0], col_b]
+                swapped = a.copy()
+                swapped[v, swap] = swapped[v, swap[::-1]]
+                mirrored = swapped.copy()
+                mirrored[swap, v] = mirrored[swap[::-1], v]
+                f, x, y = d.fixed[0], orbits[0], np.roll(orbits[1], -1)
+                two, wide = a.copy(), a.astype(np.int64)
+                two[i, j] = two[j, i] = 2
+                wide[i, j] = wide[j, i] = 257
+                cases = {"as built": a, "int64": a.astype(np.int64), "bool": a.astype(bool),
+                         "float": a.astype(float), "flipped entry": toggle(i, j),
+                         "flipped pair": toggle([i, j], [j, i]), "swapped in a row": swapped,
+                         "swapped in a row and column": mirrored,
+                         # entries that a single compare of the orbit frame reads
+                         "flipped last-to-first entry": toggle(x[-1], orbits[1, 0]),
+                         "flipped fixed-to-orbit entry": toggle(f, x[1]),
+                         "flipped orbit-to-fixed entry": toggle(x[1], f),
+                         "toggled border one way": toggle(x, f),
+                         "toggled border": toggle(np.append(x, [f] * len(x)), np.append([f] * len(x), x)),
+                         "toggled diagonal one way": toggle(x, y),
+                         "toggled diagonal": toggle(np.append(x, y), np.append(y, x)),
+                         "2": two, "257": wide}
+                for name, adjacency in cases.items():
+                    for orbit_rows in (orbits, None, shared):
+                        expected = verdict(dense_graph_checks, adjacency, orbit_rows)
+                        assert verdict(constructor, adjacency, orbit_rows) == expected, \
+                            (k, p, m, variant, name, orbit_rows is None)
+                        seen.add(expected if isinstance(expected, str) else expected[-1] is None)
+        assert seen == {False, True, "adjacency entries must be 0/1", "adjacency must be symmetric",
+                        "orbits must be disjoint", "orbits must be those of an automorphism of the graph"}
 
     def test_dense_graph_checks_the_orbits(self):
         path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])      # 0 - 1 - 2
