@@ -202,8 +202,7 @@ def _k3_family(p: int, s: int, t: int | None = None
         power = mul_pair(power, base, 3)
     else:
         raise NoSolution(f"no t <= 3 has {p}^t = x^2 + 27y^2 with gcd(x, p) = 1; is {p} prime?")
-    x0, y0 = a // 2, b // 2
-    x0 = x0 if x0 % 3 == 1 else -x0
+    x0, y0 = -(a // 2), b // 2           # a = 1 (mod 3) is even, so -a/2 = 1 (mod 3)
     if t is not None and t != t0:
         raise BadInput(f"minimal exponent of p = {p} is {t0}, not {t}")
     if not 0 <= s < t0:

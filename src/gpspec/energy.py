@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfScope
-from .ff import HypothesisCase
-from .spectra import Spectrum, _exact_div, case_a_pair, complement_spectrum, require_in_scope
+from .ff import HypothesisCase, require_in_scope
+from .spectra import Spectrum, _exact_div, case_a_pair, complement_spectrum
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ polynomial basis (digit i = coefficient of x^i): hashable and cheap, yet
 literally a coefficient vector.  The power and trace tables are read-only
 numpy arrays, which the oracles index as they are.
 
-The case analysis for the closed spectral formulas lives here as well:
-``theorem_hypotheses`` classifies a triple (k, p, m) as ``CASE_A``
-(p = 1 (mod k)), ``SEMIPRIMITIVE`` (p = -1 (mod k)) or ``OUT_OF_SCOPE``;
-the tag does not repeat k, which the caller holds.
+``require_in_scope`` alone states the scope of the closed formulas: CASE_A
+(p = 1 (mod k), k | m), SEMIPRIMITIVE (p = -1 (mod k), 2 | m), from p mod k
+and m without forming q, else OutOfScope (OUT_OF_SCOPE from
+``theorem_hypotheses``); the tag does not repeat k, which the caller holds.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .errors import BadInput, BadK, CapExceeded, NonPrime
+from .errors import BadInput, BadK, CapExceeded, NonPrime, OutOfScope
 
 #: Largest field order constructed explicitly (elements, tables).
 FIELD_CAP = 1 << 20
@@ -388,24 +388,31 @@ def kth_power_residues(f: FieldSpec, k: int) -> frozenset[int]:
 
 def theorem_hypotheses(k: int, p: int, m: int) -> HypothesisCase:
     """Classify (k, p, m); OUT_OF_SCOPE is a value, never an error."""
-    if out_of_scope_reason(k, p, m):
+    try:
+        return require_in_scope(k, p, m)
+    except OutOfScope:
         return HypothesisCase.OUT_OF_SCOPE
-    return HypothesisCase.CASE_A if p % k == 1 else HypothesisCase.SEMIPRIMITIVE
 
 
-def out_of_scope_reason(k: int, p: int, m: int) -> str | None:
-    """Human-readable reason a triple is out of scope, or None if in scope."""
+def require_in_scope(k: int, p: int, m: int) -> HypothesisCase:
+    """The case of (k, p, m), else OutOfScope naming the first hypothesis it
+    violates: the one statement of the scope rules.  (q-1)/(p-1) = 1 + p +
+    ... + p^(m-1) is m (mod k) if p = 1 (mod k), 0 or 1 as m is even or odd
+    if p = -1 (mod k), 1 (mod 3) if p = k = 3 and odd if (k, p) = (4, 2):
+    so the two cases say when k divides it, and q is never formed."""
     if k not in (3, 4):
-        return f"k = {k} not in {{3, 4}}"
+        raise OutOfScope(f"k = {k} not in {{3, 4}}")
     if not is_prime(p):
-        return f"p = {p} is not prime"
+        raise OutOfScope(f"p = {p} is not prime")
     if m < 1:
-        return f"m = {m} must be >= 1"
-    q = p ** m
-    if q < 5:
-        return f"q = {q} < 5"
-    if k == 4 and q == 9:
-        return "q = 9 is excluded for k = 4"
-    if ((q - 1) // (p - 1)) % k != 0:
-        return f"{k} does not divide (q-1)/(p-1) = {(q - 1) // (p - 1)}"
-    return None
+        raise OutOfScope(f"m = {m} must be >= 1")
+    if p ** min(m, 3) < 5:              # p^3 >= 8, so q < 5 only at m < 3
+        raise OutOfScope(f"q = {p ** m} < 5")
+    if k == 4 and (p, m) == (3, 2):
+        raise OutOfScope("q = 9 is excluded for k = 4")
+    if p % k == 1 and m % k == 0:
+        return HypothesisCase.CASE_A
+    if p % k == k - 1 and m % 2 == 0:
+        return HypothesisCase.SEMIPRIMITIVE
+    residue = (pow(p, m, k * (p - 1)) - 1) // (p - 1) % k
+    raise OutOfScope(f"{k} does not divide (q-1)/(p-1) = {residue} (mod {k})")

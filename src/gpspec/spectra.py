@@ -7,8 +7,8 @@ up to 2k + 1 (each non-principal value splits into a +/- pair).  Non-principal
 eigenvalues are stored in descending order and merged when numerically equal,
 so two Spectrum values are equal exactly when they are equal as multisets.
 
-Every division in the formulas is checked exact; a remainder aborts with
-``NonIntegralEigenvalue`` instead of rounding.
+Each route takes its case from ``ff.require_in_scope``, which never forms q.
+Every division is checked exact; a remainder raises NonIntegralEigenvalue.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import dioph
-from .errors import HasLoops, NonIntegralEigenvalue, OutOfScope
-from .ff import HypothesisCase, out_of_scope_reason, theorem_hypotheses
+from .errors import HasLoops, NonIntegralEigenvalue
+from .ff import HypothesisCase, require_in_scope
 
 
 class Variant(Enum):
@@ -99,14 +99,6 @@ def _exact_div(num: int, den: int) -> int:
     return quot
 
 
-def require_in_scope(k: int, p: int, m: int) -> HypothesisCase:
-    """The hypothesis case of (k, p, m), raising OutOfScope with the reason."""
-    case = theorem_hypotheses(k, p, m)
-    if case is HypothesisCase.OUT_OF_SCOPE:
-        raise OutOfScope(out_of_scope_reason(k, p, m))
-    return case
-
-
 def case_a_pair(k: int, p: int, m: int) -> tuple[int, int]:
     """The norm-form pair of the case A formulas for q = p^m: (a, b) with
     4 q^(1/3) = a^2 + 27 b^2 (k = 3), or (c, d) with q^(1/2) = c^2 + 4 d^2
@@ -184,7 +176,7 @@ def gpsum_spectrum(g: GraphSpec) -> Spectrum:
     if g.variant is not Variant.GPSUM:
         raise ValueError("gpsum_spectrum expects the GPSUM variant")
     base = gp_spectrum(GraphSpec(g.k, g.p, g.m, Variant.GP))
-    if g.q % 2 == 0:
+    if g.p == 2:                        # q = 2^m is even
         return base
     n = base.principal
     pairs = [(n, 1)]

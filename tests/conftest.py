@@ -1,7 +1,11 @@
-"""Shared helpers: prime enumeration and in-scope instance generation."""
+"""Shared helpers: prime enumeration, in-scope instance generation and the
+default int/str digit limit."""
 from __future__ import annotations
 
 import math
+import sys
+
+import pytest
 
 from gpspec.ff import HypothesisCase, theorem_hypotheses
 
@@ -32,3 +36,15 @@ def in_scope_instances(q_max: int, ks=(3, 4)) -> list[tuple[int, int, int]]:
                     out.append((k, p, m))
                 m += 1
     return out
+
+
+@pytest.fixture
+def default_int_limit():
+    """Run the test under the interpreter's default int/str digit limit
+    (4300 digits), restoring the limit in force afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)

@@ -22,6 +22,9 @@ the package routes they check.
   sigma-invariance as A[sigma][:, sigma] = A, then regularity from every row
   sum.  It referees the constructor's checks in the orbit frame and its
   ``degree``, which sums one row per orbit.
+- ``quotient_scope`` decides the scope of the closed formulas the direct
+  way, by forming q = p^m and testing k | (q-1)/(p-1), and referees
+  ``gpspec.ff.require_in_scope``, which decides it from p mod k and m.
 - ``is_cubic_residue`` (Euler's criterion) and ``is_semiprimitive`` (-1 a
   power of p mod k) classify primes for tests of ``gpspec.dioph.minimal_t``
   and of the semiprimitive spectra and energies.
@@ -36,7 +39,7 @@ import json
 import math
 
 from gpspec.errors import BadInput, BadP
-from gpspec.ff import is_prime
+from gpspec.ff import HypothesisCase, is_prime
 
 
 def _square_part(n: int) -> int | None:
@@ -125,6 +128,25 @@ def is_semiprimitive(k: int, p: int) -> bool:
             return True
         x = x * p % k
     return False
+
+
+def quotient_scope(k: int, p: int, m: int) -> tuple[HypothesisCase, str | None]:
+    """(case, reason) of (k, p, m), the reason None in scope: the checks in
+    order, the last one k | (q-1)/(p-1) on the quotient itself."""
+    if k not in (3, 4):
+        return HypothesisCase.OUT_OF_SCOPE, f"k = {k} not in {{3, 4}}"
+    if not is_prime(p):
+        return HypothesisCase.OUT_OF_SCOPE, f"p = {p} is not prime"
+    if m < 1:
+        return HypothesisCase.OUT_OF_SCOPE, f"m = {m} must be >= 1"
+    q = p ** m
+    if q < 5:
+        return HypothesisCase.OUT_OF_SCOPE, f"q = {q} < 5"
+    if k == 4 and q == 9:
+        return HypothesisCase.OUT_OF_SCOPE, "q = 9 is excluded for k = 4"
+    if ((q - 1) // (p - 1)) % k != 0:
+        return HypothesisCase.OUT_OF_SCOPE, f"{k} does not divide (q-1)/(p-1) = {(q - 1) // (p - 1)}"
+    return (HypothesisCase.CASE_A if p % k == 1 else HypothesisCase.SEMIPRIMITIVE), None
 
 
 def iterated_exp_table(f) -> list[int]:

@@ -41,6 +41,13 @@ class TestExitCodes:
         assert code == 2
         assert "3 does not divide (q-1)/(p-1)" in err
 
+    def test_out_of_scope_huge_m_is_one_short_line(self, capsys):
+        # the quotient (q-1)/(p-1) of 7^1000000 has 845,098 digits; the
+        # diagnostic gives its residue mod 3 instead
+        code, out, err = run_cli(["spectrum", "-k", "3", "-p", "7", "-m", "1000000"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: 3 does not divide (q-1)/(p-1) = 1 (mod 3)\n"
+
     def test_verify_ok(self, capsys):
         code, out, _ = run_cli(["spectrum", "-k", "3", "-p", "7", "-m", "3", "--verify"], capsys)
         assert code == 0

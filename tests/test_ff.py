@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import in_scope_instances, primes_upto
-from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime
+from gpspec.errors import BadInput, BadK, CapExceeded, NonPrime, OutOfScope
 from gpspec.ff import (FIELD_CAP, HypothesisCase, _is_irreducible, _jacobi, _strong_lucas, is_prime,
-                       kth_power_residues, make_field, theorem_hypotheses, trace)
-from referees import is_semiprimitive, iterated_exp_table, scan_generator
+                       kth_power_residues, make_field, require_in_scope, theorem_hypotheses, trace)
+from referees import is_semiprimitive, iterated_exp_table, quotient_scope, scan_generator
 
 #: first terms of OEIS A001262 and A217255
 A001262 = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281, 74665, 80581,
@@ -363,6 +363,32 @@ class TestTheoremHypotheses:
                 got = theorem_hypotheses(3, p, m) is HypothesisCase.CASE_A
                 expected = p % 3 == 1 and m % 3 == 0
                 assert got is expected, (p, m)
+
+    def test_rules_match_quotient_referee(self):
+        """The case and the message of every (k, p, m) with k in 2..5,
+        -3 <= p < 2000 and -1 <= m <= 40 against the q-quotient rule; the
+        divisibility message gives the quotient mod k."""
+        mismatches = []
+        for k, p, m in itertools.product(range(2, 6), range(-3, 2000), range(-1, 41)):
+            try:
+                case, reason = require_in_scope(k, p, m), None
+            except OutOfScope as exc:
+                case, reason = HypothesisCase.OUT_OF_SCOPE, str(exc)
+            want_case, want = quotient_scope(k, p, m)
+            prefix = f"{k} does not divide (q-1)/(p-1) = "
+            if want is not None and want.startswith(prefix):
+                want = f"{prefix}{int(want[len(prefix):]) % k} (mod {k})"
+            if (case, reason) != (want_case, want):
+                mismatches.append((k, p, m, case, reason, want_case, want))
+        assert not mismatches, mismatches[:5]
+
+    def test_huge_m_under_default_int_limit(self, default_int_limit):
+        # the old rule formed (q-1)/(p-1) and its 8451 digits for the message
+        assert theorem_hypotheses(3, 7, 10 ** 4) is HypothesisCase.OUT_OF_SCOPE
+        with pytest.raises(OutOfScope, match=r"^3 does not divide \(q-1\)/\(p-1\) = 1 \(mod 3\)$"):
+            require_in_scope(3, 7, 10 ** 4)
+        assert require_in_scope(3, 7, 3 * 10 ** 6) is HypothesisCase.CASE_A
+        assert require_in_scope(4, 3, 10 ** 6) is HypothesisCase.SEMIPRIMITIVE
 
     def test_case_tags_agree_with_congruences(self):
         for (k, p, m) in in_scope_instances(10 ** 5):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import in_scope_instances
 from gpspec import spectra
 from gpspec.dioph import solve_ab, solve_cd
+from gpspec.energy import energy_bounds, semiprimitive_energy
 from gpspec.errors import HasLoops, NonIntegralEigenvalue, OutOfScope
 from gpspec.ff import HypothesisCase, theorem_hypotheses
 from gpspec.spectra import (GraphSpec, Spectrum, Variant, complement_spectrum, gp_spectrum,
@@ -126,6 +127,18 @@ class TestOutOfScope:
     def test_k_not_supported(self):
         with pytest.raises(OutOfScope):
             gp_spectrum(GraphSpec(2, 5, 1))
+
+    def test_huge_m_out_of_scope_under_default_int_limit(self, default_int_limit):
+        # q = 7^10000 has 8451 digits; no route forms it before the rules reject it
+        with pytest.raises(OutOfScope, match="does not divide"):
+            gp_spectrum(GraphSpec(3, 7, 10 ** 4))
+        for variant in Variant:
+            with pytest.raises(OutOfScope, match="does not divide"):
+                spectrum_of(GraphSpec(3, 7, 10 ** 4, variant))
+        with pytest.raises(OutOfScope, match="does not divide"):
+            energy_bounds(3, 7, 10 ** 4)
+        with pytest.raises(OutOfScope, match="does not divide"):
+            semiprimitive_energy(3, 7, 10 ** 4)
 
     def test_wrong_variant_rejected(self):
         with pytest.raises(ValueError):
